@@ -1,9 +1,9 @@
 """Stagewise least-squares gradient boosting with shrinkage and subsampling.
 
 Each stage draws a subsample of rows without replacement, fits a small
-tree to the current residuals (the negative gradient of squared loss),
-scales it by a line-searched step length, shrinks by the learn rate, and
-adds it to the running model:
+tree to the current residuals y - F (the negative gradient of squared
+loss, the only loss), scales it by a line-searched step length, shrinks by
+the learn rate, and adds it to the running model:
 
     F_0 = mean(y);  F_m = F_{m-1} + learn_rate * gamma_m * h_m
 
@@ -16,11 +16,11 @@ across runs and operating systems.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOSSES
 from .rng import SplitMix64, sample_without_replacement
 from .tree import RegressionTree, TreeFitter, TreeLimits
 
@@ -33,6 +33,8 @@ class BoostConfig:
     rate 1e-4, 6-node trees, at least 3 records per leaf, and a 0.95
     subsample fraction. learn_rate 0 is accepted as a degenerate
     diagnostic limit (the fitted model then predicts f0 everywhere).
+    ``loss`` must be "least_squares", the only loss fitted; it is kept
+    because brtm/1 model headers record it.
     """
 
     n_trees: int = 50_000
@@ -54,8 +56,8 @@ class BoostConfig:
             raise ValueError("min_leaf_obs must be at least 1")
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must be in (0, 1]")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; available: {sorted(LOSSES)}")
+        if self.loss != "least_squares":
+            raise ValueError(f"unknown loss {self.loss!r}; available: ['least_squares']")
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
         y = y[usable]
     n = len(y)
 
-    loss = LOSSES[config.loss]
-    f0 = loss.optimal_constant(y)
+    f0 = float(y.sum()) / n
     current = np.full(n, f0)
     limits = TreeLimits(config.max_nodes, config.min_leaf_obs)
     fitter = TreeFitter(X)
@@ -144,7 +145,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     scale_base = config.learn_rate
     for _ in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
-        residual = loss.negative_gradient(y, current)
+        residual = y - current
         tree = fitter.fit(residual, rows, limits)
         outputs = tree.predict_batch(X)
         gamma, flat = line_search_gamma(residual[rows], outputs[rows])
@@ -170,35 +171,34 @@ def _stage_count(model: BoostedModel, n_stages) -> int:
     return int(n_stages)
 
 
-def predict(model: BoostedModel, sample, n_stages: int | None = None) -> float:
-    """f0 plus the first n_stages shrunken tree contributions, in stage order.
+def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
+    """Yield (m, F_m(X)) for m = 0..n_stages: f0 plus the first m tree
+    outputs, each scaled by learn_rate*gamma rounded once, added in stage
+    order into one array that is updated in place and yielded each time."""
+    lr = model.config.learn_rate
+    out = np.full(X.shape[0], model.f0)
+    yield 0, out
+    for m, stage in enumerate(model.stages[:n_stages], start=1):
+        out += (lr * stage.gamma) * stage.tree.predict_batch(X)
+        yield m, out
 
-    The per-stage scale learn_rate*gamma is rounded once and applied to the
-    leaf value, the same order batch prediction uses, so scalar and batch
-    results are bit-identical.
-    """
+
+def predict(model: BoostedModel, sample, n_stages: int | None = None) -> float:
+    """predict_batch on one feature row (cells may be NaN)."""
     x = np.asarray(sample, dtype=np.float64)
     if x.shape != (model.n_features,):
         raise ValueError("feature count mismatch")
-    k = _stage_count(model, n_stages)
-    lr = model.config.learn_rate
-    acc = model.f0
-    for stage in model.stages[:k]:
-        acc += (lr * stage.gamma) * stage.tree.predict_one(x)
-    return acc
+    return float(predict_batch(model, x[None, :], n_stages)[0])
 
 
 def predict_batch(model: BoostedModel, X, n_stages: int | None = None) -> np.ndarray:
-    """Vectorised predict over rows of X; per row identical to predict()."""
+    """f0 plus the first n_stages shrunken tree contributions at each row of
+    X, summed in stage order."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
     k = _stage_count(model, n_stages)
-    lr = model.config.learn_rate
-    out = np.full(X.shape[0], model.f0)
-    for stage in model.stages[:k]:
-        out += (lr * stage.gamma) * stage.tree.predict_batch(X)
-    return out
+    return deque(_running_sums(model, X, k), maxlen=1).pop()[1]
 
 
 def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | None = None) -> StagedCurve:
@@ -225,13 +225,10 @@ def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | 
 
     y_mean = float(y.sum()) / n
     sst = float(((y - y_mean) ** 2).sum())
-    lr = model.config.learn_rate
-    preds = np.full(n, model.f0)
     points = []
     total = model.n_stages
-    for m, stage in enumerate(model.stages, start=1):
-        preds += (lr * stage.gamma) * stage.tree.predict_batch(X)
-        if m % stride == 0 or m == total:
+    for m, preds in _running_sums(model, X, total):
+        if m and (m % stride == 0 or m == total):
             sse = float(((y - preds) ** 2).sum())
             if metric == "mse":
                 points.append((m, sse / n))

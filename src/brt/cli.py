@@ -18,7 +18,7 @@ from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
 from .data import Dataset, fy_label, load_model_table, load_raw_directory, assemble_model_table, write_model_table
 from .interpret import interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
 from .metrics import fit_report
-from .model_io import ModelParseError, load_model, save_model
+from .model_io import load_model, save_model
 
 
 def _fmt(v: float) -> str:
@@ -287,9 +287,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModelParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

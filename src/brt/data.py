@@ -161,74 +161,24 @@ def _read_rows(source) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
-def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
-    """Read a model-table CSV: columns ``year``, the response, and
-    predictors in header order. Missing cells are empty or NA; the
-    response must be present in every row."""
-    header, body = _read_rows(source)
-    if not header or header[0] != "year":
-        raise ValueError("missing header: first column must be 'year'")
-    if response_name not in header:
-        raise ValueError(f"missing header: no {response_name!r} column")
-    dupes = {h for h in header if header.count(h) > 1}
-    if dupes:
-        raise ValueError(f"duplicate columns: {sorted(dupes)}")
-    predictors = [h for h in header[1:] if h != response_name]
-    if not predictors:
-        raise ValueError("model table needs at least one predictor column")
+def _read_year_table(source, check_columns) -> tuple[list[str], tuple[int, ...], np.ndarray]:
+    """Read a CSV whose first column is ``year``: (value column names, years
+    ascending, float cells with rows in year order and NaN where a cell is
+    empty or NA).
 
-    years: list[int] = []
-    rows: list[list[float]] = []
-    resp: list[float] = []
-    r_idx = header.index(response_name)
-    p_idx = [header.index(p) for p in predictors]
-    seen = set()
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
-        try:
-            year = int(row[0].strip())
-        except ValueError:
-            raise ValueError(f"non-numeric cell at row {i}, column 'year': {row[0]!r}") from None
-        if year in seen:
-            raise ValueError(f"duplicate year {year}")
-        seen.add(year)
-        years.append(year)
-        rv = _parse_cell(row[r_idx], i, response_name)
-        if math.isnan(rv):
-            raise ValueError(f"response missing at {fy_label(year)}")
-        resp.append(rv)
-        rows.append([_parse_cell(row[j], i, header[j]) for j in p_idx])
-
-    order = np.argsort(np.asarray(years))
-    years_sorted = tuple(int(years[i]) for i in order)
-    X = np.asarray(rows, dtype=np.float64)[order]
-    y = np.asarray(resp, dtype=np.float64)[order]
-    return Dataset(years_sorted, tuple(predictors), X, y, response_name)
-
-
-def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> AnnualTable:
-    """Read one raw series CSV (year + numeric columns) into an AnnualTable.
-
-    When expected_columns is given, the header must match it exactly;
-    unknown columns are rejected by name.
+    ``check_columns(names)`` validates the value column names before any
+    row is read.
     """
     header, body = _read_rows(source)
     if not header or header[0] != "year":
         raise ValueError("missing header: first column must be 'year'")
     cols = header[1:]
-    if not cols:
-        raise ValueError("series file needs at least one value column")
+    check_columns(cols)
     dupes = {h for h in header if header.count(h) > 1}
     if dupes:
         raise ValueError(f"duplicate columns: {sorted(dupes)}")
-    if expected_columns is not None:
-        unknown = [c for c in cols if c not in expected_columns]
-        if unknown:
-            raise ValueError(f"unknown columns: {unknown} (expected {list(expected_columns)})")
-        absent = [c for c in expected_columns if c not in cols]
-        if absent:
-            raise ValueError(f"missing columns: {absent}")
+    if not body:
+        raise ValueError("no data rows")
 
     years: list[int] = []
     data: list[list[float]] = []
@@ -244,14 +194,51 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
             raise ValueError(f"duplicate year {year}")
         seen.add(year)
         years.append(year)
-        data.append([_parse_cell(row[j + 1], i, cols[j]) for j in range(len(cols))])
+        data.append([_parse_cell(row[j + 1], i, c) for j, c in enumerate(cols)])
 
     order = np.argsort(np.asarray(years))
-    arr = np.asarray(data, dtype=np.float64)[order]
-    return AnnualTable(
-        years=tuple(int(years[i]) for i in order),
-        columns={c: np.ascontiguousarray(arr[:, j]) for j, c in enumerate(cols)},
-    )
+    return cols, tuple(int(years[i]) for i in order), np.asarray(data, dtype=np.float64)[order]
+
+
+def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
+    """Read a model-table CSV: columns ``year``, the response, and
+    predictors in header order. Missing cells are empty or NA; the
+    response must be present in every row."""
+
+    def check_columns(cols):
+        if response_name not in cols:
+            raise ValueError(f"missing header: no {response_name!r} column")
+        if all(c == response_name for c in cols):
+            raise ValueError("model table needs at least one predictor column")
+
+    cols, years, cells = _read_year_table(source, check_columns)
+    r = cols.index(response_name)
+    predictors = tuple(c for c in cols if c != response_name)
+    y = np.ascontiguousarray(cells[:, r])
+    # Dataset rejects a missing response cell, naming its fiscal year.
+    return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
+
+
+def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> AnnualTable:
+    """Read one raw series CSV (year + numeric columns) into an AnnualTable.
+
+    When expected_columns is given, the header must match it exactly;
+    unknown columns are rejected by name.
+    """
+
+    def check_columns(cols):
+        if not cols:
+            raise ValueError("series file needs at least one value column")
+        if expected_columns is not None:
+            unknown = [c for c in cols if c not in expected_columns]
+            if unknown:
+                raise ValueError(f"unknown columns: {unknown} (expected {list(expected_columns)})")
+            absent = [c for c in expected_columns if c not in cols]
+            if absent:
+                raise ValueError(f"missing columns: {absent}")
+
+    cols, years, cells = _read_year_table(source, check_columns)
+    return AnnualTable(years=years, columns={c: np.ascontiguousarray(cells[:, j]) for j, c in enumerate(cols)})
 
 
 def load_weights_csv(source) -> dict[str, float]:

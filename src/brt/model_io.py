@@ -17,8 +17,10 @@ newer writers stay readable; a different version tag is an error.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,11 @@ from .tree import RegressionTree
 
 FORMAT_VERSION = "brtm/1"
 
+# RegressionTree arrays in constructor order, which is also their order on a stage line.
+_NODE_FIELDS = ("feature", "threshold", "missing_right", "left", "right", "value", "improvement")
 _HEADER_KEYS = {"config", "feature_names", "f0", "n_stages"}
-_STAGE_KEYS = {"gamma", "feature", "threshold", "missing_right", "left", "right", "value", "improvement"}
-_CONFIG_KEYS = {"n_trees", "learn_rate", "max_nodes", "min_leaf_obs", "subsample_fraction", "loss", "seed"}
+_STAGE_KEYS = {"gamma", *_NODE_FIELDS}
+_CONFIG_KEYS = {f.name for f in fields(BoostConfig)}
 
 
 class ModelParseError(ValueError):
@@ -42,39 +46,16 @@ def _dump(obj) -> str:
 
 
 def save_model(model: BoostedModel, sink) -> None:
-    lines = [FORMAT_VERSION]
-    cfg = model.config
     header = {
-        "config": {
-            "n_trees": cfg.n_trees,
-            "learn_rate": cfg.learn_rate,
-            "max_nodes": cfg.max_nodes,
-            "min_leaf_obs": cfg.min_leaf_obs,
-            "subsample_fraction": cfg.subsample_fraction,
-            "loss": cfg.loss,
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
         "feature_names": list(model.feature_names),
         "f0": model.f0,
         "n_stages": model.n_stages,
     }
-    lines.append(_dump(header))
+    lines = [FORMAT_VERSION, _dump(header)]
     for stage in model.stages:
         t = stage.tree
-        lines.append(
-            _dump(
-                {
-                    "gamma": stage.gamma,
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "missing_right": t.missing_right.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                    "improvement": t.improvement.tolist(),
-                }
-            )
-        )
+        lines.append(_dump({"gamma": stage.gamma, **{k: getattr(t, k).tolist() for k in _NODE_FIELDS}}))
     text = "\n".join(lines) + "\n"
     if hasattr(sink, "write"):
         sink.write(text)
@@ -98,6 +79,14 @@ def _require(obj: dict, key: str, lineno: int):
     return obj[key]
 
 
+def _number(obj: dict, key: str, lineno: int) -> float:
+    v = _require(obj, key, lineno)
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            return float(v)
+    raise ModelParseError(f"model parse error at line {lineno}: field {key!r} must be a number, got {v!r}")
+
+
 def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
     extra = sorted(set(obj) - known)
     if extra:
@@ -106,8 +95,8 @@ def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
 
 def _stage_from_obj(obj: dict, lineno: int, n_features: int) -> Stage:
     _warn_unknown(obj, _STAGE_KEYS, lineno)
-    gamma = _require(obj, "gamma", lineno)
-    arrays = {k: _require(obj, k, lineno) for k in ("feature", "threshold", "missing_right", "left", "right", "value", "improvement")}
+    gamma = _number(obj, "gamma", lineno)
+    arrays = {k: _require(obj, k, lineno) for k in _NODE_FIELDS}
     lengths = {len(v) for v in arrays.values()}
     if len(lengths) != 1 or not lengths.pop() >= 1:
         raise ModelParseError(f"model parse error at line {lineno}: node arrays must share one nonzero length")
@@ -121,19 +110,10 @@ def _stage_from_obj(obj: dict, lineno: int, n_features: int) -> Stage:
             if not (i < lo < n_nodes and i < hi < n_nodes):
                 raise ModelParseError(f"model parse error at line {lineno}: node {i} has invalid children")
     try:
-        tree = RegressionTree(
-            arrays["feature"],
-            arrays["threshold"],
-            arrays["missing_right"],
-            arrays["left"],
-            arrays["right"],
-            arrays["value"],
-            arrays["improvement"],
-            n_features,
-        )
+        tree = RegressionTree(*arrays.values(), n_features)
     except (TypeError, ValueError) as e:
         raise ModelParseError(f"model parse error at line {lineno}: {e}") from None
-    return Stage(tree=tree, gamma=float(gamma))
+    return Stage(tree=tree, gamma=gamma)
 
 
 def load_model(source) -> BoostedModel:
@@ -163,7 +143,7 @@ def load_model(source) -> BoostedModel:
     feature_names = _require(header, "feature_names", 2)
     if not isinstance(feature_names, list) or not all(isinstance(s, str) for s in feature_names):
         raise ModelParseError("model parse error at line 2: 'feature_names' must be a list of strings")
-    f0 = _require(header, "f0", 2)
+    f0 = _number(header, "f0", 2)
     n_stages = _require(header, "n_stages", 2)
 
     stage_lines = [(i + 3, ln) for i, ln in enumerate(lines[2:]) if ln.strip()]
@@ -172,4 +152,4 @@ def load_model(source) -> BoostedModel:
             f"model parse error: header declares {n_stages} stages but document has {len(stage_lines)}"
         )
     stages = tuple(_stage_from_obj(_parse_json_line(ln, no), no, len(feature_names)) for no, ln in stage_lines)
-    return BoostedModel(f0=float(f0), stages=stages, config=config, feature_names=tuple(feature_names))
+    return BoostedModel(f0=f0, stages=stages, config=config, feature_names=tuple(feature_names))

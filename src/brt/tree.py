@@ -21,7 +21,6 @@ whichever side they are routed.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,36 +96,8 @@ class RegressionTree:
     def node_count(self) -> int:
         return len(self.feature)
 
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
-
-    def split_nodes(self) -> list[tuple[int, SplitCandidate]]:
-        """(node index, SplitCandidate) for every internal node."""
-        out = []
-        for i in range(self.node_count):
-            f = int(self.feature[i])
-            if f >= 0:
-                direction = "right" if self.missing_right[i] else "left"
-                out.append(
-                    (i, SplitCandidate(f, float(self.threshold[i]), float(self.improvement[i]), direction))
-                )
-        return out
-
-    def predict_one(self, x) -> float:
-        i = 0
-        feature = self.feature
-        while feature[i] >= 0:
-            v = x[feature[i]]
-            if math.isnan(v):
-                go_right = self.missing_right[i]
-            else:
-                go_right = v > self.threshold[i]
-            i = int(self.right[i] if go_right else self.left[i])
-        return float(self.value[i])
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf values for every row of X; equivalent to predict_one per row."""
+        """Leaf value each row of X routes to."""
         return self.value[self.leaf_assignments(X)]
 
     def leaf_assignments(self, X: np.ndarray) -> np.ndarray:
@@ -146,11 +117,11 @@ class RegressionTree:
 
 
 def predict_tree(tree: RegressionTree, sample) -> float:
-    """Evaluate a fitted tree at one feature row (cells may be NaN)."""
+    """predict_batch on one feature row (cells may be NaN)."""
     x = np.asarray(sample, dtype=np.float64)
     if x.shape != (tree.n_features,):
         raise ValueError("feature count mismatch")
-    return tree.predict_one(x)
+    return float(tree.predict_batch(x[None, :])[0])
 
 
 def split_improvements(tree: RegressionTree) -> np.ndarray:
@@ -347,14 +318,8 @@ class TreeFitter:
         return f, p, not not_left
 
 
-def fit_tree(samples, targets, limits: TreeLimits | None = None, rng=None) -> RegressionTree:
-    """Fit one least-squares tree to (samples, targets).
-
-    ``rng`` is accepted for interface stability but unused: the split
-    search is fully deterministic (ties are broken by fixed rules, and no
-    per-split feature subsampling is done).
-    """
-    del rng
+def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTree:
+    """Fit one least-squares tree to (samples, targets)."""
     if limits is None:
         limits = TreeLimits()
     X = np.asarray(samples, dtype=np.float64)

@@ -238,6 +238,15 @@ class TestStagedMetric:
         assert values[-1] > 0.99
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_mse_curve_equals_prefix_predictions_bitwise(self):
+        ds = random_dataset(np.random.default_rng(5), 15, 3, missing=True)
+        cfg = BoostConfig(n_trees=30, learn_rate=0.3, min_leaf_obs=2, subsample_fraction=0.8, seed=4)
+        model = fit_ensemble(ds, cfg)
+        curve = staged_metric(model, ds, metric="mse", stride=1)
+        assert [k for k, _ in curve.points] == list(range(1, 31))
+        for k, mse in curve.points:
+            assert mse == ((ds.y - predict_batch(model, ds.X, n_stages=k)) ** 2).sum() / ds.n_rows
+
     def test_unknown_metric(self):
         ds = identity_toy()
         model = fit_ensemble(ds, BoostConfig(n_trees=1, min_leaf_obs=1))

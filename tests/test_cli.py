@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,21 @@ class TestReport:
         assert code == 1
         assert "model parse error" in err or "unsupported model version" in err
 
+    @pytest.mark.parametrize(
+        "lineno, field, value", [(2, "f0", None), (3, "gamma", "x"), (4, "gamma", True), (5, "gamma", 10**400)]
+    )
+    def test_non_numeric_f0_or_gamma_names_line_and_field(self, tmp_path, capsys, trained, lineno, field, value):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        obj = json.loads(lines[lineno - 1])
+        obj[field] = value
+        lines[lineno - 1] = json.dumps(obj)
+        bad = tmp_path / "bad.brtm"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(bad), str(table)], capsys)
+        assert code == 1
+        assert f"line {lineno}" in err and repr(field) in err
+
     def test_feature_name_mismatch_lists_differences(self, tmp_path, capsys, trained):
         out, table = trained
         other = tmp_path / "other.csv"
@@ -188,6 +205,13 @@ class TestBuildData:
         code, _, err = run(["build-data", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "o")], capsys)
         assert code == 1
         assert "missing series: fx_inr_usd" in err
+
+    def test_header_only_series_names_the_file(self, tmp_path, capsys):
+        write_toy_raw(tmp_path / "raw")
+        (tmp_path / "raw" / "cpi_food.csv").write_text("year,index\n")
+        code, _, err = run(["build-data", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "cpi_food.csv: no data rows" in err
 
 
 def test_bundled_dataset_trains_quickly(tmp_path, capsys):

@@ -92,6 +92,10 @@ class TestLoadModelTable:
         with pytest.raises(ValueError, match="at least one predictor"):
             load_model_table(io.StringIO("year,FCPI\n2002,1.0\n"))
 
+    def test_header_only_table_rejected(self):
+        with pytest.raises(ValueError, match="no data rows"):
+            load_model_table(io.StringIO("year,FCPI,MSP\n"))
+
     def test_rows_sorted_by_year(self):
         csv = "year,FCPI,MSP\n2003,2.0,1.0\n2002,1.0,3.0\n"
         ds = load_model_table(io.StringIO(csv))
@@ -115,6 +119,10 @@ class TestLoadSeriesCsv:
             load_series_csv(io.StringIO("year,index,extra\n2001,1,2\n"), ("index",))
         with pytest.raises(ValueError, match="missing columns: \\['total'\\]"):
             load_series_csv(io.StringIO("year,index\n2001,1\n"), ("index", "total"))
+
+    def test_header_only_series_rejected(self):
+        with pytest.raises(ValueError, match="no data rows"):
+            load_series_csv(io.StringIO("year,index\n"), ("index",))
 
     def test_any_columns_when_unconstrained(self):
         tbl = load_series_csv(io.StringIO("year,rice,wheat\n2001,1,2\n2002,3,4\n"))

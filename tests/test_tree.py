@@ -204,7 +204,7 @@ def test_full_tree_matches_naive_best_first(seed):
     naive = NaiveTree([list(r) for r in X], list(y), 7, 1)
     assert tree.node_count == naive.node_count
     for i in range(n):
-        assert tree.predict_one(X[i]) == pytest.approx(naive.predict(list(X[i])), abs=1e-12)
+        assert predict_tree(tree, X[i]) == pytest.approx(naive.predict(list(X[i])), abs=1e-12)
 
 
 def test_row_permutation_leaves_tree_identical():
