@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,48 @@ class BoostedModel:
     @property
     def n_stages(self) -> int:
         return len(self.stages)
+
+    @cached_property
+    def packed(self) -> PackedStages:
+        """Prediction plan, built on first use and kept with the model."""
+        return PackedStages.build(self)
+
+
+@dataclass(frozen=True)
+class PackedStages:
+    """The stages rearranged for batch prediction.
+
+    Flagship ensembles reuse few tree structures (a structure is a tree's
+    feature, threshold, missing_right, left and right arrays: 43 in 1,200
+    stages, 320 in 50,000), so prediction routes each distinct structure
+    once per batch and then only gathers leaf values per stage. ``scaled``
+    row m is ``(learn_rate*gamma_m) * value_m``, the same product per
+    element that the stage adds, zero-padded to the widest tree.
+    """
+
+    structure: np.ndarray  # structure id of each stage
+    last_use: np.ndarray  # True at the last stage of each structure
+    scaled: np.ndarray  # (n_stages, widest tree) leaf tables
+    leaf_dtype: np.dtype  # smallest unsigned dtype holding every node index
+
+    @classmethod
+    def build(cls, model: BoostedModel) -> PackedStages:
+        n = model.n_stages
+        width = max((s.tree.node_count for s in model.stages), default=1)
+        structure = np.empty(n, dtype=np.intp)
+        scaled = np.zeros((n, width))
+        ids: dict[bytes, int] = {}
+        last: dict[int, int] = {}
+        lr = model.config.learn_rate
+        for m, stage in enumerate(model.stages):
+            t = stage.tree
+            key = b"".join(a.tobytes() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right))
+            sid = structure[m] = ids.setdefault(key, len(ids))
+            last[sid] = m
+            scaled[m, : t.node_count] = (lr * stage.gamma) * t.value
+        last_use = np.zeros(n, dtype=bool)
+        last_use[list(last.values())] = True
+        return cls(structure, last_use, scaled, np.min_scalar_type(width - 1))
 
 
 @dataclass(frozen=True)
@@ -174,13 +217,24 @@ def _stage_count(model: BoostedModel, n_stages) -> int:
 def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
     """Yield (m, F_m(X)) for m = 0..n_stages: f0 plus the first m tree
     outputs, each scaled by learn_rate*gamma rounded once, added in stage
-    order into one array that is updated in place and yielded each time."""
-    lr = model.config.learn_rate
+    order into one array that is updated in place and yielded each time.
+
+    Each distinct structure is routed once: its leaf ids are kept, in the
+    smallest dtype that holds them, only while a later stage still uses it.
+    """
+    plan = model.packed
+    stages = model.stages
+    cached: dict[int, np.ndarray] = {}
     out = np.full(X.shape[0], model.f0)
     yield 0, out
-    for m, stage in enumerate(model.stages[:n_stages], start=1):
-        out += (lr * stage.gamma) * stage.tree.predict_batch(X)
-        yield m, out
+    for m, (sid, last) in enumerate(zip(plan.structure[:n_stages].tolist(), plan.last_use.tolist())):
+        leaves = cached.pop(sid, None) if last else cached.get(sid)
+        if leaves is None:
+            leaves = stages[m].tree.leaf_assignments(X)
+            if not last:
+                cached[sid] = leaves.astype(plan.leaf_dtype)
+        out += plan.scaled[m].take(leaves)
+        yield m + 1, out
 
 
 def predict(model: BoostedModel, sample, n_stages: int | None = None) -> float:

@@ -5,7 +5,8 @@ chosen feature(s) over a grid and, at each grid point, average the model's
 prediction over every learn record with that feature overridden. Profiles
 and surfaces are centered to zero mean over their grid. At 25 records and
 a few dozen grid points this is cheap even for 50k-tree models because
-each tree is evaluated on the whole batch at once.
+each sweep is one prediction batch, in which every distinct tree structure
+is routed once and each stage only looks up its leaf values.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at

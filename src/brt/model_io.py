@@ -35,6 +35,9 @@ _NODE_FIELDS = ("feature", "threshold", "missing_right", "left", "right", "value
 _HEADER_KEYS = {"config", "feature_names", "f0", "n_stages"}
 _STAGE_KEYS = {"gamma", *_NODE_FIELDS}
 _CONFIG_KEYS = {f.name for f in fields(BoostConfig)}
+# JSON types each node array may hold, matched exactly so that booleans are not ints.
+_NODE_TYPES = {"feature": {int}, "left": {int}, "right": {int}, "missing_right": {bool}}
+_NUMBER_TYPES = {int, float}
 
 
 class ModelParseError(ValueError):
@@ -96,14 +99,22 @@ def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
 def _stage_from_obj(obj: dict, lineno: int, n_features: int) -> Stage:
     _warn_unknown(obj, _STAGE_KEYS, lineno)
     gamma = _number(obj, "gamma", lineno)
-    arrays = {k: _require(obj, k, lineno) for k in _NODE_FIELDS}
+    arrays = {}
+    for k in _NODE_FIELDS:
+        v = arrays[k] = _require(obj, k, lineno)
+        allowed = _NODE_TYPES.get(k, _NUMBER_TYPES)
+        if not isinstance(v, list) or not set(map(type, v)) <= allowed:
+            kinds = " or ".join(sorted(t.__name__ for t in allowed))
+            raise ModelParseError(
+                f"model parse error at line {lineno}: field {k!r} must be a list of {kinds}, got {v!r}"
+            )
     lengths = {len(v) for v in arrays.values()}
     if len(lengths) != 1 or not lengths.pop() >= 1:
         raise ModelParseError(f"model parse error at line {lineno}: node arrays must share one nonzero length")
     n_nodes = len(arrays["feature"])
     for i in range(n_nodes):
         f = arrays["feature"][i]
-        if f >= n_features:
+        if not -1 <= f < n_features:
             raise ModelParseError(f"model parse error at line {lineno}: node {i} splits on unknown feature {f}")
         if f >= 0:
             lo, hi = arrays["left"][i], arrays["right"][i]
@@ -111,7 +122,7 @@ def _stage_from_obj(obj: dict, lineno: int, n_features: int) -> Stage:
                 raise ModelParseError(f"model parse error at line {lineno}: node {i} has invalid children")
     try:
         tree = RegressionTree(*arrays.values(), n_features)
-    except (TypeError, ValueError) as e:
+    except OverflowError as e:  # an int too large for the array's dtype
         raise ModelParseError(f"model parse error at line {lineno}: {e}") from None
     return Stage(tree=tree, gamma=gamma)
 
@@ -143,8 +154,15 @@ def load_model(source) -> BoostedModel:
     feature_names = _require(header, "feature_names", 2)
     if not isinstance(feature_names, list) or not all(isinstance(s, str) for s in feature_names):
         raise ModelParseError("model parse error at line 2: 'feature_names' must be a list of strings")
+    duplicates = sorted({s for s in feature_names if feature_names.count(s) > 1})
+    if duplicates:
+        raise ModelParseError(f"model parse error at line 2: duplicate feature name(s) {duplicates}")
     f0 = _number(header, "f0", 2)
     n_stages = _require(header, "n_stages", 2)
+    if type(n_stages) is not int or n_stages < 0:
+        raise ModelParseError(
+            f"model parse error at line 2: field 'n_stages' must be a non-negative integer, got {n_stages!r}"
+        )
 
     stage_lines = [(i + 3, ln) for i, ln in enumerate(lines[2:]) if ln.strip()]
     if len(stage_lines) != n_stages:

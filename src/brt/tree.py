@@ -101,17 +101,20 @@ class RegressionTree:
         return self.value[self.leaf_assignments(X)]
 
     def leaf_assignments(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index each row of X routes to."""
+        """Leaf index each row of X routes to; the one routing function,
+        shared by fitting and ensemble prediction.
+
+        Every comparison with NaN is false, so ``v > thr`` sends a missing
+        value left and ``~(v <= thr)`` sends it right while agreeing with
+        ``v > thr`` on every other value; ``missing_right`` picks which.
+        """
         node = np.zeros(X.shape[0], dtype=np.intp)
-        for i in range(self.node_count):
-            f = self.feature[i]
+        for i, f in enumerate(self.feature.tolist()):
             if f < 0:
                 continue
-            at = node == i
-            if not at.any():
-                continue
+            at = np.flatnonzero(node == i)
             v = X[at, f]
-            go_right = np.where(np.isnan(v), self.missing_right[i], v > self.threshold[i])
+            go_right = ~(v <= self.threshold[i]) if self.missing_right[i] else v > self.threshold[i]
             node[at] = np.where(go_right, self.right[i], self.left[i])
         return node
 

@@ -115,6 +115,20 @@ class NaiveTree:
         return node["value"]
 
 
+def naive_flat_leaf(feature, threshold, missing_right, left, right, x):
+    """Leaf index of row x in a flat-array tree, walked one node at a time
+    the way NaiveTree.predict walks its dicts."""
+    node = 0
+    while feature[node] >= 0:
+        v = x[feature[node]]
+        if math.isnan(v):
+            go_right = missing_right[node]
+        else:
+            go_right = not v <= threshold[node]
+        node = right[node] if go_right else left[node]
+    return node
+
+
 def naive_boost(X, y, n_trees, learn_rate, max_nodes, min_leaf):
     """Full-sample (subsample fraction 1.0) least-squares boosting loop."""
     n = len(y)

@@ -252,3 +252,96 @@ class TestStagedMetric:
         model = fit_ensemble(ds, BoostConfig(n_trees=1, min_leaf_obs=1))
         with pytest.raises(ValueError):
             staged_metric(model, ds, metric="mad")
+
+
+def _structure_key(tree):
+    return b"".join(a.tobytes() for a in (tree.feature, tree.threshold, tree.missing_right, tree.left, tree.right))
+
+
+def _stage_loop(model, X, k):
+    """Reference sum, one whole tree at a time: f0 + sum (lr*gamma_m) * tree_m(X)."""
+    acc = np.full(X.shape[0], model.f0)
+    for stage in model.stages[:k]:
+        acc += (model.config.learn_rate * stage.gamma) * stage.tree.predict_batch(X)
+    return acc
+
+
+def _assert_every_prefix_matches_stage_loop(model, X):
+    for k in range(model.n_stages + 1):
+        np.testing.assert_array_equal(predict_batch(model, X, n_stages=k), _stage_loop(model, X, k))
+
+
+@pytest.fixture(scope="module")
+def standin_model():
+    from brt.standin import load_bundled
+
+    data = load_bundled()
+    return fit_ensemble(data, BoostConfig(n_trees=150, learn_rate=0.01, seed=3)), data
+
+
+def _tree(feature, threshold, missing_right, value):
+    """Tree whose split nodes take children in creation order (1, 2), (3, 4), ..."""
+    n = len(feature)
+    left, right, nxt = [-1] * n, [-1] * n, 1
+    for i, f in enumerate(feature):
+        if f >= 0:
+            left[i], right[i], nxt = nxt, nxt + 1, nxt + 2
+    return RegressionTree(feature, threshold, missing_right, left, right, value, [0.0] * n, 2)
+
+
+class TestPackedPrediction:
+    def test_standin_model_reuses_structures_and_matches_stage_loop(self, standin_model):
+        model, data = standin_model
+        assert len({_structure_key(s.tree) for s in model.stages}) < model.n_stages / 2
+        X = np.vstack([data.X, np.where(np.eye(data.X.shape[1], dtype=bool), np.nan, data.X[0])])
+        _assert_every_prefix_matches_stage_loop(model, X)
+
+    def test_mixed_node_counts_and_missing_both_ways_match_stage_loop(self):
+        from brt.boosting import BoostedModel, Stage
+
+        a = ([0, -1, -1], [0.5, 0.0, 0.0], [True, False, False])  # missing goes right
+        b = ([1, 0, -1, -1, -1], [-1.0, 2.0, 0.0, 0.0, 0.0], [False, False, False, False, False])  # left
+        leaf = ([-1], [0.0], [False])
+        trees = [
+            _tree(*a, [0.0, -1.5, 2.25]),
+            _tree(*b, [0.0, 0.0, 3.0, -0.75, 1.0 / 3.0]),
+            _tree(*leaf, [0.7]),
+            _tree(*a, [0.0, 4.5, -0.1]),
+            _tree(*b, [0.0, 0.0, 1e-3, 2.0, -5.0]),
+            _tree(*a, [0.0, 0.3, 0.9]),
+            _tree(*leaf, [-0.2]),
+        ]
+        model = BoostedModel(
+            f0=0.25,
+            stages=tuple(Stage(t, g) for t, g in zip(trees, (1.0, 0.9, 1.1, 1.0 + 2**-40, 0.3, 2.0, 1.0))),
+            config=BoostConfig(n_trees=len(trees), learn_rate=0.37),
+            feature_names=("x0", "x1"),
+        )
+        nan, inf = np.nan, np.inf
+        X = np.array([
+            [nan, nan], [0.5, -1.0], [2.0, 2.0], [nan, -3.0], [4.0, nan],
+            [-inf, inf], [inf, -inf], [0.0, nan], [nan, 0.0], [2.5, -1.0],
+        ])
+        _assert_every_prefix_matches_stage_loop(model, X)
+        # the rows above send a missing value right at tree a's root and left at tree b's
+        assert trees[0].leaf_assignments(np.array([[nan, 5.0]])).tolist() == [2]
+        assert trees[1].leaf_assignments(np.array([[5.0, nan]])).tolist() == [4]
+
+    def test_routes_each_distinct_structure_once_per_call(self, standin_model, monkeypatch):
+        model, data = standin_model
+        calls = []
+        route = RegressionTree.leaf_assignments
+
+        def counted(tree, X):
+            calls.append(_structure_key(tree))
+            return route(tree, X)
+
+        monkeypatch.setattr(RegressionTree, "leaf_assignments", counted)
+        distinct = {_structure_key(s.tree) for s in model.stages}
+        for _ in range(2):
+            calls.clear()
+            predict_batch(model, data.X)
+            assert len(calls) == len(set(calls)) == len(distinct)
+        calls.clear()
+        predict_batch(model, data.X, n_stages=40)
+        assert len(calls) == len({_structure_key(s.tree) for s in model.stages[:40]})

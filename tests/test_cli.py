@@ -120,6 +120,24 @@ class TestReport:
         assert code == 1
         assert f"line {lineno}" in err and repr(field) in err
 
+    @pytest.mark.parametrize(
+        "lineno, field, mutate",
+        [(3, "left", lambda v: 5), (2, "n_stages", str), (2, "feature_names", lambda v: [v[0], v[0]])],
+    )
+    def test_malformed_model_exits_1_naming_line_without_traceback(
+        self, tmp_path, capsys, trained, lineno, field, mutate
+    ):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        obj = json.loads(lines[lineno - 1])
+        obj[field] = mutate(obj[field])
+        lines[lineno - 1] = json.dumps(obj)
+        bad = tmp_path / "bad.brtm"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(bad), str(table)], capsys)
+        assert code == 1
+        assert f"line {lineno}" in err and "Traceback" not in err
+
     def test_feature_name_mismatch_lists_differences(self, tmp_path, capsys, trained):
         out, table = trained
         other = tmp_path / "other.csv"

@@ -143,3 +143,54 @@ def test_bad_config_rejected(fitted):
     bad = "\n".join([lines[0], json.dumps(header)] + lines[2:])
     with pytest.raises(ModelParseError, match="bad config"):
         load_model(io.StringIO(bad))
+
+
+def _mutated(model, lineno, field, value):
+    buf = io.StringIO()
+    save_model(model, buf)
+    lines = buf.getvalue().splitlines()
+    obj = json.loads(lines[lineno - 1])
+    obj[field] = value(obj[field]) if callable(value) else value
+    lines[lineno - 1] = json.dumps(obj)
+    return io.StringIO("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("left", 5),
+        ("right", None),
+        ("feature", lambda a: ["0", *a[1:]]),
+        ("feature", lambda a: [True, *a[1:]]),
+        ("feature", lambda a: [1.5, *a[1:]]),
+        ("left", lambda a: [*a[:-1], 1.0]),
+        ("right", lambda a: [*a[:-1], "2"]),
+        ("missing_right", lambda a: ["false", *a[1:]]),
+        ("threshold", lambda a: ["1.5", *a[1:]]),
+        ("value", lambda a: [None, *a[1:]]),
+        ("improvement", lambda a: [False, *a[1:]]),
+    ],
+)
+def test_node_array_of_wrong_type_names_line_and_field(fitted, field, value):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match=f"line 4: field '{field}' must be a list of"):
+        load_model(_mutated(model, 4, field, value))
+
+
+def test_unknown_feature_index_rejected(fitted):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match="line 3: node 0 splits on unknown feature -7"):
+        load_model(_mutated(model, 3, "feature", lambda a: [-7, *a[1:]]))
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, True, -1, None])
+def test_n_stages_must_be_a_nonnegative_int(fitted, value):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match="line 2: field 'n_stages' must be a non-negative integer"):
+        load_model(_mutated(model, 2, "n_stages", value))
+
+
+def test_duplicate_feature_names_rejected(fitted):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match=r"line 2: duplicate feature name\(s\) \['x0'\]"):
+        load_model(_mutated(model, 2, "feature_names", lambda names: [names[0], *names[:-1]]))

@@ -14,7 +14,7 @@ from brt.tree import (
     split_improvements,
 )
 
-from oracles import NaiveTree, enumerate_splits
+from oracles import NaiveTree, enumerate_splits, naive_flat_leaf
 
 
 def two_leaf_tree():
@@ -276,3 +276,38 @@ def test_property_improvements_nonnegative_and_sse_never_worse(targets, seed):
     sse_fit = float(np.sum((y - preds) ** 2))
     sse_stump = float(np.sum((y - y.mean()) ** 2))
     assert sse_fit <= sse_stump * (1 + 1e-12) + 1e-9
+
+
+@st.composite
+def trees_and_rows(draw, n_features=3):
+    """A random flat tree (each split expands a random leaf, so children
+    follow their parent) and rows mixing NaN, +-inf, finite values and
+    values exactly equal to the tree's thresholds."""
+    feature, threshold, missing_right, left, right = [-1], [0.0], [False], [-1], [-1]
+    for _ in range(draw(st.integers(0, 7))):
+        i = draw(st.sampled_from([j for j, f in enumerate(feature) if f < 0]))
+        feature[i] = draw(st.integers(0, n_features - 1))
+        threshold[i] = draw(st.floats(-4.0, 4.0))
+        missing_right[i] = draw(st.booleans())
+        left[i], right[i] = len(feature), len(feature) + 1
+        for arr, blank in ((feature, -1), (threshold, 0.0), (missing_right, False), (left, -1), (right, -1)):
+            arr.extend([blank, blank])
+    cell = st.one_of(
+        st.sampled_from(threshold), st.sampled_from([math.nan, math.inf, -math.inf]), st.floats(-5.0, 5.0)
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=n_features, max_size=n_features), min_size=1, max_size=12))
+    n = len(feature)
+    tree = RegressionTree(
+        feature, threshold, missing_right, left, right, np.arange(n, dtype=float), [0.0] * n, n_features
+    )
+    return tree, (feature, threshold, missing_right, left, right), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_and_rows())
+def test_property_routing_matches_naive_walker(case):
+    tree, arrays, rows = case
+    X = np.array(rows, dtype=np.float64)
+    expected = [naive_flat_leaf(*arrays, row) for row in rows]
+    assert tree.leaf_assignments(X).tolist() == expected
+    assert tree.predict_batch(X).tolist() == [float(i) for i in expected]
