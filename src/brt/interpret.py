@@ -1,12 +1,12 @@
 """Post-fit analytics: relative influence, partial dependence, interactions.
 
-Partial dependence is defined — and computed — by brute force: sweep the
-chosen feature(s) over a grid and, at each grid point, average the model's
-prediction over every learn record with that feature overridden. Profiles
-and surfaces are centered to zero mean over their grid. At 25 records and
-a few dozen grid points this is cheap even for 50k-tree models because
-each sweep is one prediction batch, in which every distinct tree structure
-is routed once and each stage only looks up its leaf values.
+Partial dependence is defined by brute force, and computed that way: sweep
+the chosen feature(s) over a grid and, at each grid point, average the
+model's prediction over every learn record with that feature overridden.
+Profiles and surfaces are centered to zero mean over their grid. At 25
+records and a few dozen grid points this is cheap even for 50k-tree models
+because each sweep is one prediction batch, in which every distinct tree
+structure is routed once and each stage only looks up its leaf values.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at
@@ -16,13 +16,18 @@ the learn records and normalised to the variation of the model output:
             over the learn records)
     score = 100 * sum(d_i^2) / sum((F(x_i) - mean F)^2)
 
-The overall interaction strength of a feature is the plain sum of its
-pairwise scores against every other feature.
+Only trees that split on both j and k contribute to d (the others cancel
+exactly), so d is computed per distinct tree structure over those trees
+alone; it matches the brute-force definition to 1e-12, and a pair that no
+tree splits on together scores exactly 0. The overall interaction strength
+of a feature is the plain sum of its pairwise scores against every other
+feature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -170,28 +175,61 @@ def _interaction_denominator(model: BoostedModel, X: np.ndarray, data, which: st
     return den
 
 
-def _pd_at_records(model: BoostedModel, X: np.ndarray, features: tuple[int, ...]) -> np.ndarray:
-    """PD of `features` evaluated at each record's own feature value(s),
-    centered over the records. Missing cells stay missing under override
-    and route by each split's default direction."""
-    pts = X[:, list(features)]
-    vals = _pd_means(model, X, features, pts)
-    return vals - vals.sum() / len(vals)
+def _interaction_scores(model: BoostedModel, data, denominator: str, pairs) -> dict[tuple[int, int], float]:
+    """Score of each (j, k) in `pairs` (j < k) from d = PDjk - PDj - PDk at
+    each record, centered over the records.
+
+    A tree that splits on neither feature shifts all three dependences by
+    one constant, which centering removes, and a tree that splits on only j
+    adds the same vector to PDjk and PDj. So in exact arithmetic d is the
+    centered sum, over the distinct structures that split on both j and k,
+    of B - Uj - Uk: the mean over the records of the structure's summed leaf
+    table with both (B) or one (U) of the features overridden by each
+    record's own values. Missing cells stay missing under override and route
+    by each split's default side. Pairs that share no tree are exactly zero
+    and never routed.
+    """
+    X = _usable_rows(model, data)
+    den = _interaction_denominator(model, X, data, denominator)
+    plan = model.packed
+    n = X.shape[0]
+    first_stage: dict[int, int] = {}  # structure id (0, 1, ... by first use) -> that first stage
+    for m, sid in enumerate(plan.structure.tolist()):
+        first_stage.setdefault(sid, m)
+    tables = np.zeros((len(first_stage), plan.scaled.shape[1]))
+    np.add.at(tables, plan.structure, plan.scaled)  # stage order within each structure
+    batch = np.tile(X, (n, 1))  # row i*n + r: record r with record i's values in the swept columns
+    grid = batch.reshape(n, n, X.shape[1])
+
+    def sweep(tree, table, cols: list[int]) -> np.ndarray:
+        grid[:, :, cols] = X[:, None, cols]
+        leaves = tree.leaf_assignments(batch)
+        grid[:, :, cols] = X[None, :, cols]
+        return table.take(leaves).reshape(n, n).sum(axis=1) / n
+
+    deltas = {p: np.zeros(n) for p in pairs}
+    for sid, m in first_stage.items():
+        tree = model.stages[m].tree
+        used = sorted(set(tree.feature.tolist()) - {-1})
+        shared = [p for p in combinations(used, 2) if p in deltas]
+        if not shared:
+            continue
+        uni = {f: sweep(tree, tables[sid], [f]) for f in sorted({f for p in shared for f in p})}
+        for j, k in shared:
+            deltas[(j, k)] += sweep(tree, tables[sid], [j, k]) - uni[j] - uni[k]
+    centered = {p: d - d.sum() / n for p, d in deltas.items()}
+    return {p: 100.0 * float((d * d).sum()) / den for p, d in centered.items()}
 
 
 def pairwise_interaction(model: BoostedModel, j: int, k: int, data, denominator: str = "model") -> float:
     """Interaction strength of one feature pair, in percent of output variation."""
     if j == k:
         raise ValueError("features must differ")
-    X = _usable_rows(model, data)
-    jj, kk = (j, k) if j < k else (k, j)
-    den = _interaction_denominator(model, X, data, denominator)
-    d = (
-        _pd_at_records(model, X, (jj, kk))
-        - _pd_at_records(model, X, (jj,))
-        - _pd_at_records(model, X, (kk,))
-    )
-    return 100.0 * float((d * d).sum()) / den
+    for f in (j, k):
+        if not 0 <= f < model.n_features:
+            raise ValueError(f"feature index {f} out of range")
+    pair = (j, k) if j < k else (k, j)
+    return _interaction_scores(model, data, denominator, [pair])[pair]
 
 
 def overall_interaction(model: BoostedModel, data, denominator: str = "model") -> dict[int, float]:
@@ -202,21 +240,15 @@ def overall_interaction(model: BoostedModel, data, denominator: str = "model") -
 def interaction_report(model: BoostedModel, data, denominator: str = "model") -> InteractionReport:
     """All pairwise scores plus per-feature overall strengths.
 
-    Univariate dependences are computed once per feature and shared across
-    pairs, so a full report costs d univariate and d*(d-1)/2 bivariate
-    sweeps.
+    Each distinct tree structure that splits on two or more features is
+    routed once per feature and once per feature pair it splits on, over
+    the records with those features overridden; the scores equal
+    pairwise_interaction's for every pair.
     """
     d = model.n_features
     if d < 2:
         raise ValueError("interaction analysis needs at least 2 features")
-    X = _usable_rows(model, data)
-    den = _interaction_denominator(model, X, data, denominator)
-    uni = [_pd_at_records(model, X, (j,)) for j in range(d)]
-    pairwise: dict[tuple[int, int], float] = {}
-    for j in range(d):
-        for k in range(j + 1, d):
-            delta = _pd_at_records(model, X, (j, k)) - uni[j] - uni[k]
-            pairwise[(j, k)] = 100.0 * float((delta * delta).sum()) / den
+    pairwise = _interaction_scores(model, data, denominator, list(combinations(range(d), 2)))
     overall = {
         j: float(sum(v for (a, b), v in pairwise.items() if j in (a, b)))
         for j in range(d)

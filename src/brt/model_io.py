@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -86,8 +87,10 @@ def _number(obj: dict, key: str, lineno: int) -> float:
     v = _require(obj, key, lineno)
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         with contextlib.suppress(OverflowError):  # an int too large for a float
-            return float(v)
-    raise ModelParseError(f"model parse error at line {lineno}: field {key!r} must be a number, got {v!r}")
+            f = float(v)
+            if math.isfinite(f):
+                return f
+    raise ModelParseError(f"model parse error at line {lineno}: field {key!r} must be a finite number, got {v!r}")
 
 
 def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
@@ -107,6 +110,11 @@ def _stage_from_obj(obj: dict, lineno: int, n_features: int) -> Stage:
             kinds = " or ".join(sorted(t.__name__ for t in allowed))
             raise ModelParseError(
                 f"model parse error at line {lineno}: field {k!r} must be a list of {kinds}, got {v!r}"
+            )
+        bad = [x for x in v if type(x) is float and not math.isfinite(x)]  # JSON NaN or +-Infinity
+        if bad:
+            raise ModelParseError(
+                f"model parse error at line {lineno}: field {k!r} must hold finite numbers, got {bad[0]!r}"
             )
     lengths = {len(v) for v in arrays.values()}
     if len(lengths) != 1 or not lengths.pop() >= 1:
@@ -147,6 +155,13 @@ def load_model(source) -> BoostedModel:
     if not isinstance(cfg_obj, dict):
         raise ModelParseError("model parse error at line 2: 'config' must be an object")
     _warn_unknown(cfg_obj, _CONFIG_KEYS, 2)
+    for k, v in cfg_obj.items():
+        try:
+            _dump(v)
+        except ValueError:  # JSON NaN or +-Infinity, possibly nested
+            raise ModelParseError(
+                f"model parse error at line 2: field 'config.{k}' must be finite, got {v!r}"
+            ) from None
     try:
         config = BoostConfig(**{k: v for k, v in cfg_obj.items() if k in _CONFIG_KEYS})
     except (TypeError, ValueError) as e:

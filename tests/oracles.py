@@ -2,10 +2,10 @@
 
 Everything here is deliberately naive pure Python: exhaustive split
 enumeration with explicit SSE sums, a direct boosting loop, and
-double-loop partial dependence. These mirror the documented contracts
-(midpoint thresholds, tie rules, best-first growth under a total-node
-budget, the 1e-12 relative dust guard on improvements) but share no code
-with the package.
+double-loop partial dependence and interaction scores. These mirror the
+documented contracts (midpoint thresholds, tie rules, best-first growth
+under a total-node budget, the 1e-12 relative dust guard on improvements)
+but share no code with the package.
 """
 
 from __future__ import annotations
@@ -184,3 +184,31 @@ def naive_pd_2d(predict_fn, X_rows, j, k, grid_j, grid_k):
         raw.append(row_vals)
     mean = sum(v for r in raw for v in r) / (len(grid_j) * len(grid_k))
     return [[v - mean for v in r] for r in raw]
+
+
+def naive_interaction(predict_fn, X_rows, j, k, denominator_ref):
+    """Pairwise interaction score by its definition, with explicit loops:
+    d_i = PDjk - PDj - PDk at record i's own values (each PD averaged over
+    all records with the feature(s) overridden, then centered over the
+    records), scored as 100 * sum(d_i^2) over the centered sum of squares
+    of `denominator_ref` (model outputs or responses at the records)."""
+    n = len(X_rows)
+
+    def pd_at_records(features):
+        raw = []
+        for source in X_rows:
+            total = 0.0
+            for row in X_rows:
+                modified = list(row)
+                for f in features:
+                    modified[f] = source[f]
+                total += predict_fn(modified)
+            raw.append(total / n)
+        mean = sum(raw) / n
+        return [v - mean for v in raw]
+
+    pj, pk, pjk = pd_at_records([j]), pd_at_records([k]), pd_at_records([j, k])
+    d = [pjk[i] - pj[i] - pk[i] for i in range(n)]
+    ref_mean = sum(denominator_ref) / len(denominator_ref)
+    den = sum((v - ref_mean) ** 2 for v in denominator_ref)
+    return 100.0 * sum(v * v for v in d) / den

@@ -122,7 +122,12 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "lineno, field, mutate",
-        [(3, "left", lambda v: 5), (2, "n_stages", str), (2, "feature_names", lambda v: [v[0], v[0]])],
+        [
+            (3, "left", lambda v: 5),
+            (2, "n_stages", str),
+            (2, "feature_names", lambda v: [v[0], v[0]]),
+            (3, "threshold", lambda v: [float("nan"), *v[1:]]),
+        ],
     )
     def test_malformed_model_exits_1_naming_line_without_traceback(
         self, tmp_path, capsys, trained, lineno, field, mutate

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from brt.interpret import (
 from brt.tree import RegressionTree
 
 from conftest import lattice_dataset, random_dataset
-from oracles import naive_pd_1d, naive_pd_2d
+from oracles import naive_flat_leaf, naive_interaction, naive_pd_1d, naive_pd_2d
 
 
 def make_manual_model(trees_gammas, n_features, lr=1.0, f0=0.0):
@@ -214,6 +216,12 @@ class TestInteractions:
         with pytest.raises(ValueError, match="features must differ"):
             pairwise_interaction(model, 1, 1, ds)
 
+    @pytest.mark.parametrize("j, k", [(0, 2), (-1, 0)])
+    def test_feature_out_of_range_rejected(self, additive_lattice_model, j, k):
+        model, ds = additive_lattice_model
+        with pytest.raises(ValueError, match="out of range"):
+            pairwise_interaction(model, j, k, ds)
+
     def test_tree_additive_model_scores_exact_zero(self):
         # no single tree splits on both features: decomposition is exact
         trees = [
@@ -269,6 +277,112 @@ class TestInteractions:
         assert a != b  # different normalisations
         with pytest.raises(ValueError):
             pairwise_interaction(model, 0, 1, ds, denominator="other")
+
+
+def two_split_tree(f_root, f_child, n_features):
+    """Root splits on f_root; its left child splits on f_child (NaN sent right)."""
+    return RegressionTree(
+        feature=[f_root, f_child, -1, -1, -1],
+        threshold=[0.5, 0.3, 0.0, 0.0, 0.0],
+        missing_right=[False, True, False, False, False],
+        left=[1, 3, -1, -1, -1],
+        right=[2, 4, -1, -1, -1],
+        value=[0.0, 0.0, 1.5, -1.0, 2.0],
+        improvement=[1.0, 1.0, 0.0, 0.0, 0.0],
+        n_features=n_features,
+    )
+
+
+def split_features(tree) -> tuple[int, ...]:
+    return tuple(sorted(set(tree.feature[tree.feature >= 0].tolist())))
+
+
+class TestInteractionsPerStructure:
+    """Scores come from the trees that split on both features only; they
+    must still equal the brute-force definition."""
+
+    def test_report_and_pairwise_match_naive_loops(self):
+        split_counts, unshared = set(), 0
+        for seed in (1, 2):
+            ds = random_dataset(np.random.default_rng(seed), 12, 5, missing=True)
+            rows = [list(r) for r in ds.X]
+            for max_nodes in (6, 13):
+                cfg = dict(n_trees=15, learn_rate=0.3, min_leaf_obs=1, subsample_fraction=0.8, seed=seed + 1)
+                model = fit_ensemble(ds, BoostConfig(max_nodes=max_nodes, **cfg))
+                split_counts |= {len(split_features(s.tree)) for s in model.stages}
+                shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree), 2)}
+                lr = model.config.learn_rate
+                walk = []  # per stage: the flat tree as lists, and its scaled leaf values
+                for stage in model.stages:
+                    t = stage.tree
+                    arrays = [a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)]
+                    walk.append((arrays, (lr * stage.gamma) * t.value))
+
+                def predict_fn(row):
+                    acc = model.f0
+                    for arrays, values in walk:
+                        acc += values[naive_flat_leaf(*arrays, row)]
+                    return acc
+
+                refs = {"model": [predict_fn(r) for r in rows], "response": list(ds.y)}
+                for denominator, ref in refs.items():
+                    rep = interaction_report(model, ds, denominator)
+                    for (j, k), score in rep.pairwise.items():
+                        want = naive_interaction(predict_fn, rows, j, k, ref)
+                        assert abs(score - want) <= 1e-12 * max(1.0, abs(want)), (seed, max_nodes, j, k)
+                        assert pairwise_interaction(model, k, j, ds, denominator) == score
+                        if (j, k) not in shared:
+                            assert score == 0.0
+                unshared += len(rep.pairwise) - len(shared)
+        assert split_counts == {1, 2, 3, 4, 5}
+        assert unshared > 0
+
+    @pytest.fixture()
+    def routed(self, monkeypatch):
+        calls = []
+        original = RegressionTree.leaf_assignments
+
+        def counting(tree, X):
+            calls.append((split_features(tree), X.shape[0]))
+            return original(tree, X)
+
+        monkeypatch.setattr(RegressionTree, "leaf_assignments", counting)
+        return calls
+
+    def test_only_structures_splitting_on_two_features_are_routed(self, routed):
+        stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [0.3], [0.0], 3)
+        trees = [
+            (stump, 1.0),
+            (split_tree(0, 0.4, -1.0, 1.0, 3), 1.0),
+            (two_split_tree(1, 2, 3), 1.0),
+            (split_tree(1, 0.6, -0.5, 0.5, 3), 0.5),
+            (two_split_tree(0, 0, 3), 1.0),
+            (two_split_tree(1, 2, 3), 0.7),  # same structure as stage 2
+        ]
+        model = make_manual_model(trees, 3)
+        n = 6
+        X = np.random.default_rng(5).uniform(size=(n, 3))
+        X[2, 1] = np.nan
+        ds = Dataset.from_arrays(X, np.arange(n, dtype=float))
+        rep = interaction_report(model, ds, denominator="response")
+        assert routed == [((1, 2), n * n)] * 3  # sweeps of x1, x2 and (x1, x2)
+        assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
+        assert rep.pairwise[(1, 2)] > 0.0
+        routed.clear()
+        interaction_report(model, ds, denominator="model")
+        assert sorted(routed) == sorted([((1, 2), n * n)] * 3 + [(split_features(t), n) for t, _ in trees[:5]])
+
+    def test_no_shared_tree_routes_only_the_denominator(self, routed):
+        trees = [(split_tree(f, 0.5, -1.0, 1.0 + f, 3), 1.0) for f in range(3)] + [(two_split_tree(2, 2, 3), 1.0)]
+        model = make_manual_model(trees, 3)
+        n = 5
+        ds = Dataset.from_arrays(np.random.default_rng(2).uniform(size=(n, 3)), np.arange(n, dtype=float))
+        rep = interaction_report(model, ds, denominator="model")
+        assert all(score == 0.0 for score in rep.pairwise.values())
+        assert routed == [((f,), n) for f in (0, 1, 2, 2)]  # predict_batch: one routing per structure
+        routed.clear()
+        interaction_report(model, ds, denominator="response")
+        assert routed == []
 
 
 class TestResponseShiftInvariance:

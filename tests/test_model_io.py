@@ -1,8 +1,10 @@
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brt.boosting import BoostConfig, fit_ensemble, predict, predict_batch
 from brt.model_io import FORMAT_VERSION, ModelParseError, load_model, save_model
@@ -194,3 +196,84 @@ def test_duplicate_feature_names_rejected(fitted):
     model, _ = fitted
     with pytest.raises(ModelParseError, match=r"line 2: duplicate feature name\(s\) \['x0'\]"):
         load_model(_mutated(model, 2, "feature_names", lambda names: [names[0], *names[:-1]]))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "lineno, field, value",
+    [
+        (2, "f0", NAN),
+        (2, "f0", -INF),
+        (3, "gamma", INF),
+        (4, "gamma", NAN),
+        (3, "threshold", lambda a: [NAN, *a[1:]]),
+        (4, "value", lambda a: [*a[:-1], INF]),
+        (5, "improvement", lambda a: [-INF, *a[1:]]),
+        (2, "config", lambda c: {**c, "n_trees": INF}),
+        (2, "config", lambda c: {**c, "seed": [NAN]}),
+    ],
+)
+def test_non_finite_numbers_rejected_naming_line_and_field(fitted, lineno, field, value):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match=rf"line {lineno}: field '{field}[.\w]*' must"):
+        load_model(_mutated(model, lineno, field, value))
+
+
+def _has_non_finite(value) -> bool:
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def small_saved():
+    rng = np.random.default_rng(17)
+    ds = random_dataset(rng, 10, 3, missing=True)
+    cfg = BoostConfig(n_trees=4, learn_rate=0.3, max_nodes=6, min_leaf_obs=1, subsample_fraction=0.8, seed=5)
+    buf = io.StringIO()
+    save_model(fit_ensemble(ds, cfg), buf)
+    lines = buf.getvalue().splitlines()
+    objs = [json.loads(ln) for ln in lines[1:]]
+    # every scalar in the document: (line index, field, key or list index or None)
+    paths = []
+    for i, obj in enumerate(objs):
+        for field, v in obj.items():
+            inner = v.keys() if isinstance(v, dict) else range(len(v)) if isinstance(v, list) else [None]
+            paths.extend((i, field, key) for key in inner)
+    return lines[0], objs, paths, ds.X
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(2**63) - 1, 2**64]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+_NON_FINITE = st.sampled_from([NAN, INF, -INF])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_model_mutations_raise_parse_error_or_predict(small_saved, data):
+    version, objs, paths, X = small_saved
+    i, field, key = data.draw(st.sampled_from(paths))
+    value = data.draw(st.one_of(_SCALARS, _NON_FINITE, st.lists(st.one_of(_SCALARS, _NON_FINITE), max_size=3)))
+    obj = copy.deepcopy(objs[i])
+    if key is None:
+        obj[field] = value
+    else:
+        obj[field][key] = value
+    lines = [version] + [json.dumps(o) for o in objs]
+    lines[i + 1] = json.dumps(obj)
+    try:
+        model = load_model(io.StringIO("\n".join(lines) + "\n"))
+    except ModelParseError:
+        return
+    assert not _has_non_finite(value), f"loaded a document holding {value!r} at {field}[{key!r}]"
+    predict_batch(model, X)
