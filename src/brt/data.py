@@ -148,42 +148,54 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
         raise ValueError(f"non-numeric cell at row {row}, column {col!r}: {raw!r}") from None
 
 
-def _read_rows(source) -> tuple[list[str], list[list[str]]]:
+def _source_name(source) -> str:
+    """How error messages name a CSV source: its path, or the stream's name."""
+    if hasattr(source, "read"):
+        return str(getattr(source, "name", "<stream>"))
+    return str(source)
+
+
+def _read_rows(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """(header cells, [(row number, cells)] of the rows below it); blank
+    rows are skipped and not counted, and the header is row 1."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as e:
+        raise ValueError(f"line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError("missing header row")
     header = [h.strip() for h in rows[0]]
-    return header, rows[1:]
+    return header, list(enumerate(rows[1:], start=2))
 
 
-def _read_year_table(source, check_columns) -> tuple[list[str], tuple[int, ...], np.ndarray]:
+def _read_year_table(source, check_columns) -> tuple[list[str], tuple[int, ...], np.ndarray, tuple[int, ...]]:
     """Read a CSV whose first column is ``year``: (value column names, years
     ascending, float cells with rows in year order and NaN where a cell is
-    empty or NA).
+    empty or NA, the row number of each year).
 
     ``check_columns(names)`` validates the value column names before any
     row is read.
     """
-    header, body = _read_rows(source)
-    if not header or header[0] != "year":
-        raise ValueError("missing header: first column must be 'year'")
+    header, body = _read_rows(source)  # the header has at least one non-blank cell
+    if header[0] != "year":
+        raise ValueError(f"row 1, column {header[0]!r}: missing header: first column must be 'year'")
     cols = header[1:]
     check_columns(cols)
-    dupes = {h for h in header if header.count(h) > 1}
+    dupes = sorted({h for h in header if header.count(h) > 1})
     if dupes:
-        raise ValueError(f"duplicate columns: {sorted(dupes)}")
+        raise ValueError(f"row 1, column {dupes[0]!r}: duplicate columns: {dupes}")
     if not body:
-        raise ValueError("no data rows")
+        raise ValueError("no data rows below the header in row 1")
 
     years: list[int] = []
     data: list[list[float]] = []
     seen = set()
-    for i, row in enumerate(body, start=2):
+    for i, row in body:
         if len(row) != len(header):
             raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
         try:
@@ -191,31 +203,49 @@ def _read_year_table(source, check_columns) -> tuple[list[str], tuple[int, ...],
         except ValueError:
             raise ValueError(f"non-numeric cell at row {i}, column 'year': {row[0]!r}") from None
         if year in seen:
-            raise ValueError(f"duplicate year {year}")
+            raise ValueError(f"row {i}, column 'year': duplicate year {year}")
         seen.add(year)
         years.append(year)
         data.append([_parse_cell(row[j + 1], i, c) for j, c in enumerate(cols)])
 
-    order = np.argsort(np.asarray(years))
-    return cols, tuple(int(years[i]) for i in order), np.asarray(data, dtype=np.float64)[order]
+    order = sorted(range(len(years)), key=years.__getitem__)
+    return (
+        cols,
+        tuple(years[i] for i in order),
+        np.asarray(data, dtype=np.float64)[order],
+        tuple(body[i][0] for i in order),
+    )
 
 
 def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
     """Read a model-table CSV: columns ``year``, the response, and
     predictors in header order. Missing cells are empty or NA; the
-    response must be present in every row."""
+    response must be present in every row. A malformed table raises a
+    ValueError naming the source, and the row and column where there is
+    one."""
 
     def check_columns(cols):
         if response_name not in cols:
-            raise ValueError(f"missing header: no {response_name!r} column")
+            raise ValueError(f"row 1: missing header: no {response_name!r} column")
         if all(c == response_name for c in cols):
-            raise ValueError("model table needs at least one predictor column")
+            raise ValueError("row 1: model table needs at least one predictor column")
 
-    cols, years, cells = _read_year_table(source, check_columns)
+    try:
+        cols, years, cells, rows = _read_year_table(source, check_columns)
+        for a, b, row in zip(years, years[1:], rows[1:]):
+            if b != a + 1:
+                raise ValueError(f"row {row}, column 'year': years must be contiguous (saw {a} then {b})")
+        for i, j in np.argwhere(~np.isfinite(cells)):
+            where = f"row {rows[i]}, column {cols[j]!r}"
+            if cols[j] == response_name:
+                raise ValueError(f"{where}: response missing at {fy_label(years[i])}")
+            if not np.isnan(cells[i, j]):
+                raise ValueError(f"{where}: predictor values must be finite where present")
+    except ValueError as e:
+        raise ValueError(f"{_source_name(source)}: {e}") from None
     r = cols.index(response_name)
     predictors = tuple(c for c in cols if c != response_name)
     y = np.ascontiguousarray(cells[:, r])
-    # Dataset rejects a missing response cell, naming its fiscal year.
     return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
 
 
@@ -223,21 +253,28 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
     """Read one raw series CSV (year + numeric columns) into an AnnualTable.
 
     When expected_columns is given, the header must match it exactly;
-    unknown columns are rejected by name.
+    unknown columns are rejected by name. A malformed file raises a
+    ValueError naming the source, and the row and column where there is
+    one.
     """
 
     def check_columns(cols):
         if not cols:
-            raise ValueError("series file needs at least one value column")
+            raise ValueError("row 1: series file needs at least one value column")
         if expected_columns is not None:
             unknown = [c for c in cols if c not in expected_columns]
             if unknown:
-                raise ValueError(f"unknown columns: {unknown} (expected {list(expected_columns)})")
+                raise ValueError(
+                    f"row 1, column {unknown[0]!r}: unknown columns: {unknown} (expected {list(expected_columns)})"
+                )
             absent = [c for c in expected_columns if c not in cols]
             if absent:
-                raise ValueError(f"missing columns: {absent}")
+                raise ValueError(f"row 1: missing columns: {absent}")
 
-    cols, years, cells = _read_year_table(source, check_columns)
+    try:
+        cols, years, cells, _ = _read_year_table(source, check_columns)
+    except ValueError as e:
+        raise ValueError(f"{_source_name(source)}: {e}") from None
     return AnnualTable(years=years, columns={c: np.ascontiguousarray(cells[:, j]) for j, c in enumerate(cols)})
 
 
@@ -247,7 +284,7 @@ def load_weights_csv(source) -> dict[str, float]:
     if header != ["item", "weight"]:
         raise ValueError(f"weights file must have columns ['item', 'weight'], got {header}")
     out: dict[str, float] = {}
-    for i, row in enumerate(body, start=2):
+    for i, row in body:
         if len(row) != 2:
             raise ValueError(f"row {i} has {len(row)} cells, expected 2")
         item = row[0].strip()
@@ -375,10 +412,7 @@ def load_raw_directory(raw_dir) -> SeriesTable:
     for name, schema in RAW_SCHEMAS.items():
         path = raw_dir / f"{name}.csv"
         if path.exists():
-            try:
-                table.tables[name] = load_series_csv(path, schema)
-            except ValueError as e:
-                raise ValueError(f"{path.name}: {e}") from None
+            table.tables[name] = load_series_csv(path, schema)
     wpath = raw_dir / "agri_input_weights.csv"
     if wpath.exists():
         table.weights["agri_input"] = load_weights_csv(wpath)

@@ -39,6 +39,8 @@ _CONFIG_KEYS = {f.name for f in fields(BoostConfig)}
 # JSON types each node array may hold, matched exactly so that booleans are not ints.
 _NODE_TYPES = {"feature": {int}, "left": {int}, "right": {int}, "missing_right": {bool}}
 _NUMBER_TYPES = {int, float}
+# JSON types each config value may hold, by its BoostConfig annotation, and how errors name them.
+_CONFIG_TYPES = {"int": ({int}, "an integer"), "float": (_NUMBER_TYPES, "a number"), "str": ({str}, "a string")}
 
 
 class ModelParseError(ValueError):
@@ -162,6 +164,12 @@ def load_model(source) -> BoostedModel:
             raise ModelParseError(
                 f"model parse error at line 2: field 'config.{k}' must be finite, got {v!r}"
             ) from None
+    for f in fields(BoostConfig):
+        allowed, kind = _CONFIG_TYPES[f.type]
+        if f.name in cfg_obj and type(cfg_obj[f.name]) not in allowed:
+            raise ModelParseError(
+                f"model parse error at line 2: field 'config.{f.name}' must be {kind}, got {cfg_obj[f.name]!r}"
+            )
     try:
         config = BoostConfig(**{k: v for k, v in cfg_obj.items() if k in _CONFIG_KEYS})
     except (TypeError, ValueError) as e:

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,8 @@ from brt.boosting import (
     staged_metric,
 )
 from brt.data import Dataset
-from brt.tree import RegressionTree
+from brt.model_io import save_model
+from brt.tree import RegressionTree, TreeFitter, TreeLimits
 
 from conftest import random_dataset
 from oracles import naive_boost, naive_boost_predict
@@ -165,6 +169,101 @@ class TestFitEnsemble:
                 mine = predict(model, X[i])
                 ref = naive_boost_predict(f0, trees, 0.3, list(X[i]))
                 assert mine == pytest.approx(ref, abs=1e-12)
+
+
+def _nan_table():
+    """40 x 8 table of exact decimals with 18 NaN cells and interacting features."""
+    i = np.arange(40)[:, None]
+    j = np.arange(8)[None, :]
+    X = ((i * 7919 + j * 104729 + i * i * (j + 3)) % 997) / 10.0 - 40.0
+    X[((i * 5 + j * 3) % 17 == 0) & (i > 0)] = np.nan
+    Xf = np.nan_to_num(X)
+    y = 5.0 + 0.3 * Xf[:, 0] - 0.2 * Xf[:, 1] + 0.01 * Xf[:, 2] * Xf[:, 3] + ((i[:, 0] * 31) % 7) / 4.0
+    return Dataset.from_arrays(X, y)
+
+
+def _standin():
+    from brt.standin import load_bundled
+
+    return load_bundled()
+
+
+# sha256 of the saved model, computed before the split-search cache, the
+# stacked sibling search and the block subsample draw were written; they
+# must change no byte. The flagship configuration (stand-in table, 3 NaN
+# cells) runs with the cache on; the 40-row table draws 32 rows per stage,
+# so no subsample repeats and it runs with the cache off.
+GOLDEN_MODELS = [
+    (_standin, BoostConfig(n_trees=300, seed=1), "35af5debca07665ac1e0642c55b0c34b80c4a1b2a40939717cbbda1f0dee7025"),
+    (_standin, BoostConfig(n_trees=300, seed=2), "5f050997e8a935d103ad74b71619f348e74b9545192708372448a652c5960971"),
+    (
+        _nan_table,
+        BoostConfig(n_trees=60, learn_rate=0.05, max_nodes=13, min_leaf_obs=2, subsample_fraction=0.8, seed=7),
+        "adf50ad95ecfd841926f96dcb5e726f403e07ce5951a7cf1b4a6dfc5382328e3",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_data, config, digest", GOLDEN_MODELS, ids=["flagship-seed1", "flagship-seed2", "nan-13-node"])
+def test_saved_model_bytes_match_golden_digest(make_data, config, digest):
+    buf = io.StringIO()
+    save_model(fit_ensemble(make_data(), config), buf)
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def _assert_same_tree(a, b):
+    for name in ("feature", "threshold", "missing_right", "left", "right", "value", "improvement"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def _row_sets(n, k, count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("make_data, k, limits", [(_standin, 23, TreeLimits(6, 3)), (_nan_table, 36, TreeLimits(13, 1))])
+class TestSearchCache:
+    def test_warm_fitter_gives_fresh_fitter_trees(self, make_data, k, limits):
+        data = make_data()
+        rng = np.random.default_rng(4)
+        jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, k, 40, 5)]
+        warm = TreeFitter(data.X)
+        for y, rows in jobs:
+            warm.fit(y, rows, limits)
+        cached = dict(warm._groups.entries)
+        for y, rows in jobs:
+            _assert_same_tree(warm.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
+        # Every search of the second pass was a hit: nothing was built or dropped.
+        assert warm._groups.entries.keys() == cached.keys()
+        assert all(warm._groups.entries[key] is entry for key, entry in cached.items())
+
+    def test_cache_past_its_bound_gives_uncached_trees(self, make_data, k, limits):
+        data = make_data()
+        rng = np.random.default_rng(6)
+        row_sets = _row_sets(data.n_rows, k, 12, 7)
+        small = TreeFitter(data.X, cache_bytes=8_000)
+        fresh = TreeFitter(data.X, cache_bytes=0)
+        stored = set()
+        put = small._groups.put
+        small._groups.put = lambda key, group: (stored.add(key), put(key, group))
+        for _ in range(6):
+            y = rng.normal(size=data.n_rows)
+            for rows in row_sets:
+                _assert_same_tree(small.fit(y, rows, limits), fresh.fit(y, rows, limits))
+        assert all(cache.nbytes <= cache.budget for cache in (small._groups, small._counts))
+        assert 0 < len(small._groups.entries) < len(stored)  # entries were dropped to stay in budget
+        assert not fresh._groups.entries and not fresh._counts.entries
+
+
+def test_search_cache_is_per_min_leaf():
+    data = _standin()
+    rng = np.random.default_rng(9)
+    fitter = TreeFitter(data.X)
+    for rows in _row_sets(data.n_rows, 23, 10, 3) * 2:
+        y = rng.normal(size=data.n_rows)
+        for limits in (TreeLimits(6, 1), TreeLimits(6, 5)):
+            _assert_same_tree(fitter.fit(y, rows, limits), TreeFitter(data.X, cache_bytes=0).fit(y, rows, limits))
 
 
 @pytest.fixture(scope="module")

@@ -101,7 +101,7 @@ class TestReport:
         out, table = trained
         bad = tmp_path / "bad.brtm"
         bad.write_text((out / "model.brtm").read_text()[:200])
-        code, _, err = run(["report", str(bad), str(table)], capsys)
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
         assert code == 1
         assert "model parse error" in err or "unsupported model version" in err
 
@@ -116,7 +116,7 @@ class TestReport:
         lines[lineno - 1] = json.dumps(obj)
         bad = tmp_path / "bad.brtm"
         bad.write_text("\n".join(lines) + "\n")
-        code, _, err = run(["report", str(bad), str(table)], capsys)
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
         assert code == 1
         assert f"line {lineno}" in err and repr(field) in err
 
@@ -139,16 +139,31 @@ class TestReport:
         lines[lineno - 1] = json.dumps(obj)
         bad = tmp_path / "bad.brtm"
         bad.write_text("\n".join(lines) + "\n")
-        code, _, err = run(["report", str(bad), str(table)], capsys)
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
         assert code == 1
         assert f"line {lineno}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("seed", "abc"), ("max_nodes", 3.5), ("n_trees", True)])
+    def test_config_value_of_wrong_type_exits_1_naming_field(self, tmp_path, capsys, trained, key, value):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        header = json.loads(lines[1])
+        header["config"][key] = value
+        lines[1] = json.dumps(header)
+        bad = tmp_path / "bad.brtm"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
+        assert code == 1
+        assert f"'config.{key}'" in err and "line 2" in err and "Traceback" not in err
+        assert not (tmp_path / "bad_out").exists()
 
     def test_feature_name_mismatch_lists_differences(self, tmp_path, capsys, trained):
         out, table = trained
         other = tmp_path / "other.csv"
         text = table.read_text().replace("beta", "gamma")
         other.write_text(text)
-        code, _, err = run(["report", str(out / "model.brtm"), str(other)], capsys)
+        argv = ["report", str(out / "model.brtm"), str(other), "--out", str(tmp_path / "bad_out")]
+        code, _, err = run(argv, capsys)
         assert code == 1
         assert "beta" in err and "gamma" in err
 

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,3 +298,73 @@ def test_fy_label():
     assert fy_label(2007) == "FY07"
     assert fy_label(1992) == "FY92"
     assert fy_label(2016) == "FY16"
+
+
+# A valid model table and a valid series file; the properties below change
+# one cell, one header cell or one line of each and load the result.
+_MODEL_CSV = "year,FCPI,MSP,FWI\n2001,1.5,2.0,\n2002,2.5,NA,3.0\n2003,3.5,4.0,5.0\n"
+_SERIES_CSV = "year,rice,wheat\n2001,10,20\n2002,12,20\n2003,15,22\n"
+_CELL_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "NA", "nan", "inf", "-inf", "1e400", "x", "2001", "2004", "1999", " 7 ", "-0", "٣", '"', "a,b"]),
+)
+
+
+def _mutate(text, data):
+    """(mutated text, the mutated data cell as (row number, column) or None)."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    kind = data.draw(st.sampled_from(["cell", "header", "delete line", "duplicate line", "replace line"]))
+    value = data.draw(_CELL_TEXT)
+    cell = None
+    if kind in ("cell", "header"):
+        r = 0 if kind == "header" else data.draw(st.integers(1, len(lines) - 1))
+        c = data.draw(st.integers(0, len(header) - 1))
+        cells = lines[r].split(",")
+        cells[c] = value
+        lines[r] = ",".join(cells)
+        if kind == "cell" and not any(ch in value for ch in ',"\r\n'):
+            cell = (r + 1, header[c])
+    else:
+        r = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "delete line":
+            del lines[r]
+        elif kind == "duplicate line":
+            lines.insert(r, lines[r])
+        else:
+            lines[r] = value
+    return "\n".join(lines) + "\n", cell
+
+
+def _load_or_named_error(load, path, text, cell):
+    path.write_text(text, encoding="utf-8")
+    try:
+        load(path)
+    except ValueError as e:
+        message = str(e)
+        assert type(e) is ValueError, f"{type(e).__name__}: {message}"
+        assert message.startswith(f"{path}: "), message
+        if cell is not None:
+            # A single bad value names the row and the column it breaks.
+            assert re.search(r"row \d+, column '[^']*'", message), message
+        else:
+            assert re.search(r"\b(row|line) \d+", message), message
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated_csv")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_table_loads_or_names_file_row_and_column(csv_dir, data):
+    text, cell = _mutate(_MODEL_CSV, data)
+    _load_or_named_error(load_model_table, csv_dir / "model_table.csv", text, cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_series_loads_or_names_file_row_and_column(csv_dir, data):
+    text, cell = _mutate(_SERIES_CSV, data)
+    _load_or_named_error(lambda p: load_series_csv(p, ("rice", "wheat")), csv_dir / "series.csv", text, cell)

@@ -192,6 +192,31 @@ def test_n_stages_must_be_a_nonnegative_int(fitted, value):
         load_model(_mutated(model, 2, "n_stages", value))
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("seed", "abc", "an integer"),
+        ("seed", 1.0, "an integer"),
+        ("max_nodes", 3.5, "an integer"),
+        ("n_trees", True, "an integer"),
+        ("min_leaf_obs", None, "an integer"),
+        ("learn_rate", "0.1", "a number"),
+        ("subsample_fraction", False, "a number"),
+        ("loss", 1, "a string"),
+    ],
+)
+def test_config_value_of_wrong_type_names_field(fitted, key, value, kind):
+    model, _ = fitted
+    with pytest.raises(ModelParseError, match=rf"line 2: field 'config\.{key}' must be {kind}, got {value!r}"):
+        load_model(_mutated(model, 2, "config", lambda c: {**c, key: value}))
+
+
+def test_config_number_fields_accept_json_ints(fitted):
+    model, _ = fitted
+    loaded = load_model(_mutated(model, 2, "config", lambda c: {**c, "learn_rate": 0, "subsample_fraction": 1}))
+    assert loaded.config.learn_rate == 0 and loaded.config.subsample_fraction == 1
+
+
 def test_duplicate_feature_names_rejected(fitted):
     model, _ = fitted
     with pytest.raises(ModelParseError, match=r"line 2: duplicate feature name\(s\) \['x0'\]"):
