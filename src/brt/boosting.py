@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import subsample_blocks
-from .tree import SEARCH_CACHE_BYTES, RegressionTree, TreeFitter, TreeLimits
+from .rng import SplitMix64, sample_without_replacement
+from .tree import RegressionTree, TreeFitter, TreeLimits
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     Rows with a missing response are excluded up front; predictor cells may
     be missing. Residuals and the line search use only each stage's
     subsample, but the running fit F is maintained on every usable row so
-    later subsamples see current values. The subsamples are drawn in blocks
-    of stages (``subsample_blocks``), and the tree fitter caches its
-    row-set searches when subsamples can repeat; neither changes a bit.
+    later subsamples see current values.
     """
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
@@ -181,25 +179,23 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     f0 = float(y.sum()) / n
     current = np.full(n, f0)
     limits = TreeLimits(config.max_nodes, config.min_leaf_obs)
+    fitter = TreeFitter(X)
+    rng = SplitMix64(config.seed)
     n_sub = max(2, math.floor(config.subsample_fraction * n))
-    # The split-search cache pays only if row sets recur, so only when there
-    # are at most n_trees distinct subsamples (n choose n_sub) to draw.
-    log_subsamples = math.lgamma(n + 1) - math.lgamma(n_sub + 1) - math.lgamma(n - n_sub + 1)
-    fitter = TreeFitter(X, SEARCH_CACHE_BYTES if log_subsamples <= math.log(max(config.n_trees, 1)) else 0)
 
     stages = []
     degenerate = 0
     scale_base = config.learn_rate
-    for block in subsample_blocks(n, n_sub, config.seed, config.n_trees):
-        for rows in block:
-            residual = y - current
-            tree = fitter.fit(residual, rows, limits)
-            outputs = tree.predict_batch(X)
-            gamma, flat = line_search_gamma(residual[rows], outputs[rows])
-            if flat:
-                degenerate += 1
-            current += (scale_base * gamma) * outputs
-            stages.append(Stage(tree, gamma))
+    for _ in range(config.n_trees):
+        rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
+        residual = y - current
+        tree = fitter.fit(residual, rows, limits)
+        outputs = tree.predict_batch(X)
+        gamma, flat = line_search_gamma(residual[rows], outputs[rows])
+        if flat:
+            degenerate += 1
+        current += (scale_base * gamma) * outputs
+        stages.append(Stage(tree, gamma))
 
     return BoostedModel(
         f0=f0,

@@ -49,6 +49,16 @@ def fy_label(year: int) -> str:
     return f"FY{year % 100:02d}"
 
 
+class DatasetError(ValueError):
+    """A Dataset fault at one cell: ``row`` indexes ``years`` and ``column``
+    is the column's name, so that a file loader can point at its line."""
+
+    def __init__(self, message: str, row: int, column: str):
+        super().__init__(message)
+        self.row = row
+        self.column = column
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Rectangular learn sample: one row per fiscal year.
@@ -73,14 +83,17 @@ class Dataset:
         n = len(self.years)
         if X.shape != (n, len(self.feature_names)) or y.shape != (n,):
             raise ValueError("years, feature_names, X, y have inconsistent shapes")
-        for a, b in zip(self.years, self.years[1:]):
+        for i, (a, b) in enumerate(zip(self.years, self.years[1:]), start=1):
             if b != a + 1:
-                raise ValueError(f"year keys must be strictly increasing and contiguous (saw {a} then {b})")
+                message = f"year keys must be strictly increasing and contiguous (saw {a} then {b})"
+                raise DatasetError(message, i, "year")
         for i, v in enumerate(y):
             if not math.isfinite(v):
-                raise ValueError(f"response missing at {fy_label(self.years[i])}")
-        if np.any(np.isinf(X)):
-            raise ValueError("predictor values must be finite where present")
+                raise DatasetError(f"response missing at {fy_label(self.years[i])}", i, self.response_name)
+        bad = np.argwhere(np.isinf(X))
+        if bad.size:
+            i, j = bad[0]
+            raise DatasetError("predictor values must be finite where present", int(i), self.feature_names[j])
 
     @property
     def n_rows(self) -> int:
@@ -232,21 +245,14 @@ def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
 
     try:
         cols, years, cells, rows = _read_year_table(source, check_columns)
-        for a, b, row in zip(years, years[1:], rows[1:]):
-            if b != a + 1:
-                raise ValueError(f"row {row}, column 'year': years must be contiguous (saw {a} then {b})")
-        for i, j in np.argwhere(~np.isfinite(cells)):
-            where = f"row {rows[i]}, column {cols[j]!r}"
-            if cols[j] == response_name:
-                raise ValueError(f"{where}: response missing at {fy_label(years[i])}")
-            if not np.isnan(cells[i, j]):
-                raise ValueError(f"{where}: predictor values must be finite where present")
+        r = cols.index(response_name)
+        predictors = tuple(c for c in cols if c != response_name)
+        y = np.ascontiguousarray(cells[:, r])
+        return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
+    except DatasetError as e:
+        raise ValueError(f"{_source_name(source)}: row {rows[e.row]}, column {e.column!r}: {e}") from None
     except ValueError as e:
         raise ValueError(f"{_source_name(source)}: {e}") from None
-    r = cols.index(response_name)
-    predictors = tuple(c for c in cols if c != response_name)
-    y = np.ascontiguousarray(cells[:, r])
-    return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
 
 
 def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> AnnualTable:

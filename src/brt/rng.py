@@ -6,28 +6,11 @@ reference constants), a 64-bit mixer whose output for a given seed is
 identical on every OS, CPU, and Python build. Fitting a model twice
 with the same seed must produce byte-identical results, so nothing in
 this package draws randomness from any other source.
-
-The stream is counter-based: draw j (from 0) of a stream seeded with s
-is mix(s + (j+1)*phi mod 2**64). ``subsample_blocks`` uses this to draw
-the subsamples of up to 64 boosting stages at once in numpy. It is the
-same stream, consumed in the same order, as calling
-``sample_without_replacement`` stage by stage on one ``SplitMix64``, and
-it returns the same rows; that scalar pair stays as the public API and as
-the reference the block draw is tested against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
-_PHI = 0x9E3779B97F4A7C15
-# Upper bounds on one block of subsample_blocks (stages, and stages x rows),
-# so memory stays flat and small however many stages are drawn.
-_BLOCK_CELLS = 1 << 12
-_MAX_BLOCK_STAGES = 64
 
 
 class SplitMix64:
@@ -39,7 +22,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _PHI) & _MASK64
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -71,74 +54,3 @@ def sample_without_replacement(n: int, k: int, rng: SplitMix64) -> list[int]:
     head = idx[:k]
     head.sort()
     return head
-
-
-def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
-    """splitmix64's output function, in place on a uint64 array (products
-    wrap mod 2**64); tmp is scratch space of the same shape."""
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        np.right_shift(z, shift, out=tmp)
-        z ^= tmp
-        z *= np.uint64(mult)
-    np.right_shift(z, 31, out=tmp)
-    z ^= tmp
-
-
-def stages_per_block(n: int) -> int:
-    """Stages in each full block that subsample_blocks yields for n rows."""
-    return max(1, min(_MAX_BLOCK_STAGES, _BLOCK_CELLS // max(n, 1)))
-
-
-def subsample_blocks(n: int, k: int, seed: int, n_stages: int, dtype=np.intp) -> Iterator[np.ndarray]:
-    """The subsamples of n_stages consecutive stages, in blocks of rows.
-
-    Row s over all blocks is ``sample_without_replacement(n, k, rng)`` at
-    its s-th call on ``SplitMix64(seed)``: stage s takes draws s*k .. s*k+k-1
-    of the stream. The multiply-shift ``(z * (n-i)) >> 64`` is computed from
-    the 32-bit halves of z, each partial product fitting in 64 bits because
-    n < 2**32, and the Fisher-Yates swaps run for every stage of the block
-    at once, one draw column per step. Blocks hold at most 64 stages and are
-    yielded as new (stages, k) arrays of ``dtype``; the work arrays are made
-    once and reused, so a long run neither grows nor churns memory.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if n >= 1 << 32:
-        raise ValueError("n must be below 2**32")
-    per_block = stages_per_block(n)
-    seed64 = np.uint64(seed & _MASK64)
-    bound = n - np.arange(k, dtype=np.uint64)  # the range of draw i is n - i
-    col = np.arange(k)
-    draw_ids = np.arange(1, per_block * k + 1, dtype=np.uint64).reshape(per_block, k)
-    z = np.empty_like(draw_ids)
-    hi = np.empty_like(draw_ids)
-    swap = np.empty((per_block, k), dtype=np.intp)
-    ranges = np.tile(np.arange(n), per_block)  # each stage's range(n), flattened
-    idx = np.empty_like(ranges)
-    first = np.arange(per_block) * n
-    heads = np.empty((per_block, k), dtype=np.intp)
-    for start in range(0, n_stages, per_block):
-        # State after draw j is seed + (j+1)*phi; this block starts at draw start*k.
-        np.add(draw_ids, np.uint64(start * k), out=z)
-        z *= np.uint64(_PHI)
-        z += seed64
-        _mix(z, hi)
-        np.right_shift(z, 32, out=hi)
-        z &= np.uint64(0xFFFFFFFF)
-        z *= bound
-        z >>= np.uint64(32)
-        hi *= bound
-        hi += z
-        hi >>= np.uint64(32)
-        swap[:] = hi
-        swap += col  # j = i + below(n - i)
-        idx[:] = ranges
-        for i in range(k):
-            a = first + i
-            b = first + swap[:, i]
-            head = idx[a]
-            idx[a] = idx[b]
-            idx[b] = head
-        heads[:] = idx.reshape(per_block, n)[:, :k]
-        heads.sort(axis=1)
-        yield heads[: n_stages - start].astype(dtype)

@@ -18,14 +18,13 @@ training and at prediction time. Rows count toward leaf-occupancy minima on
 whichever side they are routed.
 
 ``TreeFitter`` serves the boosting loop, which fits thousands of trees to
-one feature matrix. It searches the two children of a split in one pass,
-and it caches what a search needs of a row set alone (the rows in each
-feature's value order, which cuts are allowed, the NaN and row counts of
-each cut), so that a row set met again costs only the work on the new
-targets. The cache holds at most ``SEARCH_CACHE_BYTES``, least recently
-used entries going first. Cached parts are integers and masks; the float
-work on the targets is the same on a hit and a miss, so the trees are
-bit-identical with and without the cache.
+one feature matrix. It caches what a search needs of a row set alone (the
+rows in each feature's value order, which cuts are allowed, the NaN and row
+counts of each cut), so that a row set met again costs only the work on
+the new targets. The cache holds at most ``SEARCH_CACHE_BYTES``, least
+recently used entries going first. Cached parts are integers and masks;
+the float work on the targets is the same on a hit and a miss, so the
+trees are bit-identical with and without the cache.
 """
 
 from __future__ import annotations
@@ -178,17 +177,10 @@ class _LRU:
 
 
 class _Group:
-    """The target-free part of the split search for one node, or for two
-    siblings searched together.
-
-    Arrays are indexed (node, feature, sorted position) and padded to the
-    widest node. ``sel`` holds each node's row ids in each feature's value
-    order (NaNs last; padding repeats row 0) and ``valid`` the cuts after
-    which the next value differs and is finite. No cut at or past a node's
-    last row leaves min_leaf rows on its right, so the padding is never
-    scored. ``counts_key`` names the shared _Counts of the node sizes and
-    NaN counts.
-    """
+    """The target-free part of the split search for one row set: ``sel``,
+    the rows in each feature's value order (NaNs last), ``valid``, the cuts
+    after which the next value differs and is finite, and ``counts_key``,
+    which names the shared _Counts of the row count and NaN counts."""
 
     __slots__ = ("sel", "valid", "counts_key")
 
@@ -199,57 +191,49 @@ class _Group:
 
 
 def _group_size(key, group: _Group) -> int:
-    key_bytes = len(key) if isinstance(key, bytes) else sum(map(len, key))
-    return key_bytes + group.sel.nbytes + group.valid.nbytes + _ENTRY_OVERHEAD
+    return len(key) + group.sel.nbytes + group.valid.nbytes + _ENTRY_OVERHEAD
 
 
 class _Counts:
-    """What the search needs of the node sizes ``k`` and NaN counts
-    ``n_miss`` (None when no node has a NaN) alone, shared by every group
-    with the same ones through the cache keyed on ``key``.
+    """What the search needs of a row count ``k`` and the NaN count of each
+    feature ``n_miss`` alone, shared through the cache keyed on ``key`` by
+    every row set with the same ones (in a node without NaN they do not
+    depend on the feature, so all row sets of one size share one).
 
-    With NaN, ``num``/``den`` stack the two routings of the missing rows as
-    the scores use them: ``num`` is [rows left with missing rows left, rows
-    left] and ``den`` [rows right, rows right with missing rows right], and
-    ``miss`` marks the NaN positions (the last ones of each feature).
-    Without NaN, ``den`` is the rows right and ``num``/``miss`` are None.
-    ``window`` marks the cuts that leave min_leaf rows on both sides; with
-    NaN it has the leading routing axis of ``num`` and ``den``.
+    ``num``/``den`` stack the two routings of the missing rows as the scores
+    use them: ``num`` is [rows left with missing rows left, rows left] and
+    ``den`` [rows right, rows right with missing rows right]. ``miss`` marks
+    the NaN positions (the last ones of each feature) and ``window`` the cuts
+    that leave min_leaf rows on both sides, for each routing.
     """
 
     __slots__ = ("key", "k", "n_miss", "num", "den", "miss", "window")
 
     def __init__(self, key, n_miss, cnt_left, min_leaf):
-        self.key = key  # (k, n_miss bytes or None); groups keep this one object
-        ks = self.k = key[0]
+        self.key = key  # (k, n_miss bytes); groups keep this one object
+        k = self.k = key[0]
         self.n_miss = n_miss
-        kf = np.array(ks, dtype=np.float64)[:, None, None]
-        if n_miss is None:
-            self.num = self.miss = None
-            self.den = kf - cnt_left
-            self.window = (cnt_left >= min_leaf) & (self.den >= min_leaf)
-            return
-        n_fin = kf - n_miss
-        self.num = num = np.empty((2, len(ks), n_miss.shape[1], cnt_left.size))
+        n_fin = k - n_miss
+        self.num = num = np.empty((2, n_miss.shape[0], cnt_left.size))
         self.den = den = np.empty(num.shape)
         np.add(cnt_left, n_miss, out=num[0])
         num[1] = cnt_left
         np.subtract(n_fin, cnt_left, out=den[0])
         np.add(den[0], n_miss, out=den[1])
-        position = np.arange(cnt_left.size + 1)
-        self.miss = (position >= n_fin) & (position < kf)
+        self.miss = np.arange(k) >= n_fin
         self.window = (num >= min_leaf) & (den >= min_leaf)
 
     @property
     def nbytes(self) -> int:
         arrays = (self.n_miss, self.num, self.den, self.miss, self.window)
-        return sum(a.nbytes for a in arrays if a is not None) + 3 * _ENTRY_OVERHEAD
+        return sum(a.nbytes for a in arrays) + 3 * _ENTRY_OVERHEAD
 
 
 # Bytes that the search caches of one TreeFitter hold at most. Flagship
 # fits (25 rows, 7 features) need about 600 KB to keep every row set they
-# meet; half a megabyte keeps most of them.
-SEARCH_CACHE_BYTES = 1 << 19
+# meet; at 384 KiB 64% of their searches hit (76% at 512 KiB, 49% at 256),
+# and peak RSS stays within 1% of a fit without the cache.
+SEARCH_CACHE_BYTES = 3 << 17
 # Allowance per cache entry for its Python objects (dict slot, key, entry
 # object, array headers), from tracemalloc on a flagship fit; a _Counts
 # entry, with five arrays, is charged three.
@@ -264,30 +248,28 @@ class TreeFitter:
     changing targets and row subsets, so the per-feature sort order is
     computed once here. ``fit_tree`` wraps this for one-off use.
 
-    The two children of a split are searched in one pass over arrays
-    padded to the larger child. Most of a search depends only on the row
-    sets, and stochastic boosting on a small table meets the same row sets
-    over and over: a 1,200-stage flagship fit at seed 1 runs 2,400 searches
-    on 541 distinct row sets or sibling pairs. So that part is cached, in two LRU caches that share
-    ``cache_bytes`` (default ``SEARCH_CACHE_BYTES``; 0 turns caching off):
+    Most of a split search depends only on the node's row set, and
+    stochastic boosting on a small table meets the same row sets over and
+    over: in a 1,200-stage flagship fit at seed 1, the 2,639 searches of
+    nodes large enough to split meet only 549 distinct row sets. So that
+    part is cached, in two LRU caches that share ``SEARCH_CACHE_BYTES``:
 
-    - a _Group per row set, or pair of sibling row sets, keyed on the row
-      ids' bytes: the rows in each feature's value order and the cuts
-      between distinct finite values (three quarters of the budget);
-    - a _Counts per node size and NaN counts, shared by all groups with the
-      same ones: the row counts on each side of every cut, the NaN
+    - a _Group per row set, keyed on the row ids' bytes: the rows in each
+      feature's value order and the cuts between distinct finite values
+      (three quarters of the budget);
+    - a _Counts per row count and NaN counts, shared by all row sets with
+      the same ones: the row counts on each side of every cut, the NaN
       positions and the cuts that leave min_leaf rows on each side.
 
     Entries are charged their array and key bytes plus a fixed allowance
-    for the Python objects, and both caches are emptied when
+    for the Python objects, and the counts are dropped when
     ``min_leaf_obs`` changes. A hit skips only work whose results are
-    integers or masks. Every float operation on the targets runs on the
-    same operands in the same order as in a search of each node alone
-    without the cache, so hits, misses and stacked searches give the same
-    bits.
+    integers or masks; every float operation on the targets runs on the
+    same operands in the same order on a hit and a miss, so the trees are
+    bit-identical with and without the cache.
     """
 
-    def __init__(self, X: np.ndarray, cache_bytes: int = SEARCH_CACHE_BYTES):
+    def __init__(self, X: np.ndarray):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("samples must be a 2-D feature matrix")
@@ -306,8 +288,9 @@ class TreeFitter:
         self._offsets = (np.arange(d) * n)[:, None]  # start of each feature in XT.ravel()
         self._cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
         # Three quarters of the budget for groups, one for the shared counts.
-        self._groups = _LRU(cache_bytes - cache_bytes // 4, _group_size)
-        self._counts = _LRU(cache_bytes // 4, lambda key, counts: counts.nbytes)
+        budget = SEARCH_CACHE_BYTES
+        self._groups = _LRU(budget - budget // 4, _group_size)
+        self._counts = _LRU(budget // 4, lambda key, counts: counts.nbytes)
         self._min_leaf = None
 
     def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits) -> RegressionTree:
@@ -315,8 +298,7 @@ class TreeFitter:
         rows = np.asarray(rows, dtype=np.intp)
         n_features = self.X.shape[1]
         if limits.min_leaf_obs != self._min_leaf:
-            self._groups.clear()
-            self._counts.clear()
+            self._counts.clear()  # the min_leaf window; groups do not depend on it
             self._min_leaf = limits.min_leaf_obs
 
         feature = [-1]
@@ -330,7 +312,7 @@ class TreeFitter:
         heap: list[tuple[float, int, SplitCandidate, np.ndarray, np.ndarray]] = []
         # Cuts past a node's last finite value divide by zero; they are masked.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._search(y, [(0, rows, total)], heap)
+            self._search(y, 0, rows, total, heap)
 
             while heap and len(feature) + 2 <= limits.max_nodes:
                 _, nid, cand, lrows, rrows = heapq.heappop(heap)
@@ -338,8 +320,10 @@ class TreeFitter:
                 threshold[nid] = cand.threshold
                 missing_right[nid] = cand.default_direction == "right"
                 improvement[nid] = cand.improvement
-                children = []
-                for rows_side in (lrows, rrows):
+                # After this expansion the tree has len(feature)+2 nodes; only
+                # search the new leaves if one more expansion could still fit.
+                worth_searching = len(feature) + 4 <= limits.max_nodes
+                for side, rows_side in (("left", lrows), ("right", rrows)):
                     cid = len(feature)
                     feature.append(-1)
                     threshold.append(0.0)
@@ -349,164 +333,121 @@ class TreeFitter:
                     improvement.append(0.0)
                     total = float(np.add.reduce(y[rows_side]))
                     value.append(total / rows_side.size)
-                    children.append((cid, rows_side, total))
-                left[nid] = children[0][0]
-                right[nid] = children[1][0]
-                # The tree now has len(feature) nodes; only search the new
-                # leaves if one more expansion could still fit.
-                if len(feature) + 2 <= limits.max_nodes:
-                    self._search(y, children, heap)
+                    if side == "left":
+                        left[nid] = cid
+                    else:
+                        right[nid] = cid
+                    if worth_searching:
+                        self._search(y, cid, rows_side, total, heap)
 
         return RegressionTree(feature, threshold, missing_right, left, right, value, improvement, n_features)
 
-    def _group(self, row_sets: list[np.ndarray]) -> tuple[_Group, _Counts]:
-        """The cached _Group of these row sets, built and stored on a miss,
+    def _group(self, rows: np.ndarray) -> tuple[_Group, _Counts]:
+        """The cached _Group of this row set, built and stored on a miss,
         and its _Counts."""
-        if len(row_sets) == 1:
-            key = row_sets[0].astype(self.row_dtype).tobytes()
-        else:
-            key = tuple(rows.astype(self.row_dtype).tobytes() for rows in row_sets)
+        key = rows.astype(self.row_dtype).tobytes()
         group = self._groups.get(key)
         if group is not None:
             return group, self._counts_of(group.counts_key)
 
         d, n = self.XT.shape
-        ks = tuple(rows.size for rows in row_sets)
-        width = max(ks)
-        picks = []
-        for rows in row_sets:
-            in_node = np.zeros(n, dtype=bool)
-            in_node[rows] = True
-            # Row-major boolean pick keeps each feature's value order; every
-            # feature row holds the same node rows, so the reshape is exact.
-            picks.append(self.orders[in_node[self.orders]].reshape(d, rows.size))
-        sel = np.zeros((len(ks), d, width), dtype=self.row_dtype)
-        for c, pick in enumerate(picks):
-            sel[c, :, : ks[c]] = pick
+        in_node = np.zeros(n, dtype=bool)
+        in_node[rows] = True
+        # Row-major boolean pick keeps each feature's value order; every
+        # feature row holds the same node rows, so the reshape is exact.
+        sel = self.orders[in_node[self.orders]].reshape(d, rows.size)
         vals = self.XT.ravel()[sel + self._offsets]
-        valid = np.isfinite(vals[..., 1:]) & (vals[..., 1:] != vals[..., :-1])
-        nan = np.isnan(vals)
-        if min(ks) < width:  # padding repeats row 0, which may hold NaN
-            nan &= np.arange(width) < np.array(ks)[:, None, None]
-        n_miss = np.add.reduce(nan, axis=2, dtype=np.float64)[..., None] if np.count_nonzero(nan) else None
-        counts = self._counts_of((ks, None if n_miss is None else n_miss.tobytes()), n_miss)
+        valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
+        n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)[:, None]
+        counts = self._counts_of((rows.size, n_miss.tobytes()), n_miss)
         group = _Group(sel, valid, counts.key)
         self._groups.put(key, group)
         return group, counts
 
     def _counts_of(self, key, n_miss=None) -> _Counts:
-        """The cached _Counts of key = (node sizes, NaN counts' bytes or None)."""
+        """The cached _Counts of key = (row count, NaN counts' bytes)."""
         counts = self._counts.get(key)
         if counts is None:
-            ks, miss_bytes = key
-            if n_miss is None and miss_bytes is not None:
-                n_miss = np.frombuffer(miss_bytes).reshape(len(ks), -1, 1)
-            counts = _Counts(key, n_miss, self._cnt_left[: max(ks) - 1], self._min_leaf)
+            k, miss_bytes = key
+            if n_miss is None:
+                n_miss = np.frombuffer(miss_bytes).reshape(-1, 1)
+            counts = _Counts(key, n_miss, self._cnt_left[: k - 1], self._min_leaf)
             self._counts.put(key, counts)
         return counts
 
-    def _search(self, y, nodes, heap) -> None:
-        """Push the best split of each (node id, rows, total) onto heap.
+    def _search(self, y, nid, rows, total, heap) -> None:
+        """Push the best split of node nid, whose rows sum to ``total``, onto heap.
 
-        ``total`` is ``float(y[rows].sum())``. A heap entry is (-improvement,
-        node id, SplitCandidate, left row ids, right row ids); both id arrays
-        are sorted ascending so later sums are order-canonical. Nodes with
-        fewer than 2*min_leaf rows, or no split that removes error, push
-        nothing.
+        A heap entry is (-improvement, node id, SplitCandidate, left row
+        ids, right row ids); both id arrays are sorted ascending so later
+        sums are order-canonical. Nodes with fewer than 2*min_leaf rows, or
+        no split that removes error, push nothing.
         """
-        nodes = [nd for nd in nodes if nd[1].size >= max(2, 2 * self._min_leaf)]
-        if self.XT.shape[0] == 0 or not nodes:
+        k = rows.size
+        if self.XT.shape[0] == 0 or k < max(2, 2 * self._min_leaf):
             return
-        g, counts = self._group([rows for _, rows, _ in nodes])
+        g, counts = self._group(rows)
         sel = g.sel
-        n_nodes, d, width = sel.shape
-        totals = nodes[0][2] if n_nodes == 1 else np.array([total for _, _, total in nodes])[:, None, None]
-
         t = y[sel]
-        if counts.n_miss is None:
-            # No NaN in these nodes: n_miss and s_miss are 0, so sending the
-            # (absent) missing rows left or right scores alike, and the left
-            # score is all that is computed. Adding and subtracting those
-            # zeros changes no bit, so these are the two-sided formulas below.
-            cs = np.add.accumulate(t[..., :-1], axis=2)  # left sums at cut after position i
-            sum_right = totals - cs
-            score = cs * cs / self._cnt_left[: width - 1] + sum_right * sum_right / counts.den
-            score = score_l = score_r = np.where(g.valid & counts.window, score, -np.inf)
-            prefer_left = None
+        # Axis 0 stacks the two routings of the missing rows; per element
+        # score_l = sl*sl/nl + sum_right*sum_right/cnt_right and
+        # score_r = cs*cs/cnt_left + sr*sr/nr, with sl = cs + s_miss,
+        # sum_right = (total - s_miss) - cs and sr = sum_right + s_miss.
+        lsum = np.empty(counts.num.shape)  # [sl, cs]
+        rsum = np.empty(counts.num.shape)  # [sum_right, sr]
+        cs = lsum[1]
+        np.add.accumulate(t[:, :-1], axis=1, out=cs)  # left sums at cut after position i
+        s_miss = np.add.reduce(np.where(counts.miss, t, 0.0), axis=1)[:, None]
+        np.add(cs, s_miss, out=lsum[0])
+        np.subtract(total - s_miss, cs, out=rsum[0])
+        np.add(rsum[0], s_miss, out=rsum[1])
+        ok = g.valid & counts.window
+        score_l, score_r = np.where(ok, lsum * lsum / counts.num + rsum * rsum / counts.den, -np.inf)
+        prefer_left = score_l >= score_r
+        score = np.where(prefer_left, score_l, score_r)
+
+        flat = int(score.argmax())  # first max in row-major order = tie rule
+        best = float(score.flat[flat])
+        if not math.isfinite(best):
+            return
+        gain = float(best - total * total / k)
+        # Different cuts can induce the same row partition (e.g. two features
+        # isolating the same record), which ties mathematically but not in
+        # floating point: summation order injects dust. Any rival within the
+        # rounding bound of the best score is re-scored exactly over the
+        # original values so the documented tie rules apply deterministically.
+        abs_sum = float(np.add.reduce(np.abs(t[0])))
+        # The sum of squares is at most abs_sum**2, so the gain test can only
+        # fail, and needs the sum, when gain is below twice that bound.
+        if gain <= 2.0 * MIN_IMPROVEMENT_FRACTION * abs_sum * abs_sum:
+            yr = y[rows]
+            if gain <= MIN_IMPROVEMENT_FRACTION * float(np.add.reduce(yr * yr)):
+                return
+        slack = 512.0 * _EPS * abs_sum * abs_sum
+        close = score >= best - slack
+        f, p = divmod(flat, k - 1)
+        n_miss = counts.n_miss[:, 0]
+        if np.count_nonzero(close) > 1 or (n_miss[f] and abs(score_l[f, p] - score_r[f, p]) <= slack):
+            f, p, goes_left = self._resolve_exact(y, sel, n_miss, close, score_l, score_r, slack, best)
         else:
-            # Axis 0 stacks the two routings of the missing rows; per element
-            # score_l = sl*sl/nl + sum_right*sum_right/cnt_right and
-            # score_r = cs*cs/cnt_left + sr*sr/nr, with sl = cs + s_miss,
-            # sum_right = (total - s_miss) - cs and sr = sum_right + s_miss.
-            lsum = np.empty(counts.num.shape)  # [sl, cs]
-            rsum = np.empty(counts.num.shape)  # [sum_right, sr]
-            cs = lsum[1]
-            np.add.accumulate(t[..., :-1], axis=2, out=cs)
-            # Each node's NaN sum runs over its own rows only, so the pairwise
-            # summation groups the values as in a search of that node alone.
-            in_miss = np.where(counts.miss, t, 0.0)
-            if n_nodes == 1:
-                s_miss = np.add.reduce(in_miss, axis=2)[..., None]
+            goes_left = bool(prefer_left[f, p])
+
+        chosen = float((score_l if goes_left else score_r)[f, p])
+        gain = float(chosen - total * total / k)
+        cand = SplitCandidate(int(f), self._midpoint(sel, f, p), gain, "left" if goes_left else "right")
+
+        fin_count = int(k - n_miss[f])
+        ids = sel[f].astype(np.intp)
+        left_ids = ids[: p + 1]
+        right_ids = ids[p + 1 : fin_count]
+        if fin_count < k:
+            if goes_left:
+                left_ids = np.concatenate([left_ids, ids[fin_count:]])
             else:
-                s_miss = np.empty((n_nodes, d, 1))
-                for c, k in enumerate(counts.k):
-                    np.add.reduce(in_miss[c, :, :k], axis=1, out=s_miss[c, :, 0])
-            np.add(cs, s_miss, out=lsum[0])
-            np.subtract(totals - s_miss, cs, out=rsum[0])
-            np.add(rsum[0], s_miss, out=rsum[1])
-            ok = g.valid & counts.window
-            score_l, score_r = np.where(ok, lsum * lsum / counts.num + rsum * rsum / counts.den, -np.inf)
-            prefer_left = score_l >= score_r
-            score = np.where(prefer_left, score_l, score_r)
-
-        # First max in row-major (feature, position) order = tie rule.
-        no_miss = np.zeros(d)
-        flat_scores = score.reshape(n_nodes, -1)
-        for c, flat in enumerate(flat_scores.argmax(axis=1).tolist()):
-            nid, rows, total = nodes[c]
-            k = counts.k[c]
-            best = float(flat_scores[c, flat])
-            if not math.isfinite(best):
-                continue
-            gain = float(best - total * total / k)
-            # Different cuts can induce the same row partition (e.g. two
-            # features isolating the same record), which ties mathematically
-            # but not in floating point: summation order injects dust. Any
-            # rival within the rounding bound of the best score is re-scored
-            # exactly over the original values so the documented tie rules
-            # apply deterministically.
-            abs_sum = float(np.add.reduce(np.abs(t[c, 0, :k])))
-            # The sum of squares is at most abs_sum**2, so the gain test can
-            # only fail, and needs the sum, when gain is below twice that bound.
-            if gain <= 2.0 * MIN_IMPROVEMENT_FRACTION * abs_sum * abs_sum:
-                yr = y[rows]
-                if gain <= MIN_IMPROVEMENT_FRACTION * float(np.add.reduce(yr * yr)):
-                    continue
-            slack = 512.0 * _EPS * abs_sum * abs_sum
-            close = score[c] >= best - slack
-            f, p = divmod(flat, width - 1)
-            n_miss = no_miss if counts.n_miss is None else counts.n_miss[c, :, 0]
-            if np.count_nonzero(close) > 1 or (n_miss[f] and abs(score_l[c, f, p] - score_r[c, f, p]) <= slack):
-                f, p, goes_left = self._resolve_exact(y, sel[c, :, :k], n_miss, close, score_l[c], score_r[c], slack, best)
-            else:
-                goes_left = prefer_left is None or bool(prefer_left[c, f, p])
-
-            chosen = float((score_l if goes_left else score_r)[c, f, p])
-            gain = float(chosen - total * total / k)
-            cand = SplitCandidate(int(f), self._midpoint(sel[c], f, p), gain, "left" if goes_left else "right")
-
-            fin_count = int(k - n_miss[f])
-            ids = sel[c, f, :k].astype(np.intp)
-            left_ids = ids[: p + 1]
-            right_ids = ids[p + 1 : fin_count]
-            if fin_count < k:
-                if goes_left:
-                    left_ids = np.concatenate([left_ids, ids[fin_count:]])
-                else:
-                    right_ids = ids[p + 1 :]
-            left_ids.sort()
-            right_ids.sort()
-            heapq.heappush(heap, (-cand.improvement, nid, cand, left_ids, right_ids))
+                right_ids = ids[p + 1 :]
+        left_ids.sort()
+        right_ids.sort()
+        heapq.heappush(heap, (-cand.improvement, nid, cand, left_ids, right_ids))
 
     def _midpoint(self, sel, f, p) -> float:
         """Threshold of the cut after sorted position p of feature f."""
@@ -556,4 +497,5 @@ def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTr
         raise ValueError("targets must match samples in length")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    return TreeFitter(X, cache_bytes=0).fit(y, np.arange(X.shape[0]), limits)
+    fitter = TreeFitter(X)
+    return fitter.fit(y, np.arange(X.shape[0]), limits)

@@ -14,6 +14,7 @@ from brt.boosting import (
 )
 from brt.data import Dataset
 from brt.model_io import save_model
+from brt import tree as tree_module
 from brt.tree import RegressionTree, TreeFitter, TreeLimits
 
 from conftest import random_dataset
@@ -188,11 +189,10 @@ def _standin():
     return load_bundled()
 
 
-# sha256 of the saved model, computed before the split-search cache, the
-# stacked sibling search and the block subsample draw were written; they
-# must change no byte. The flagship configuration (stand-in table, 3 NaN
-# cells) runs with the cache on; the 40-row table draws 32 rows per stage,
-# so no subsample repeats and it runs with the cache off.
+# sha256 of the saved model, computed before the split-search cache was
+# written; it must change no byte. The flagship configuration (stand-in
+# table, 3 NaN cells) meets the same row sets again and again; the 40-row
+# table draws 32 rows per stage, so its searches are almost all misses.
 GOLDEN_MODELS = [
     (_standin, BoostConfig(n_trees=300, seed=1), "35af5debca07665ac1e0642c55b0c34b80c4a1b2a40939717cbbda1f0dee7025"),
     (_standin, BoostConfig(n_trees=300, seed=2), "5f050997e8a935d103ad74b71619f348e74b9545192708372448a652c5960971"),
@@ -224,10 +224,11 @@ def _row_sets(n, k, count, seed):
 
 @pytest.mark.parametrize("make_data, k, limits", [(_standin, 23, TreeLimits(6, 3)), (_nan_table, 36, TreeLimits(13, 1))])
 class TestSearchCache:
-    def test_warm_fitter_gives_fresh_fitter_trees(self, make_data, k, limits):
+    def test_warm_fitter_gives_fresh_fitter_trees(self, make_data, k, limits, monkeypatch):
         data = make_data()
         rng = np.random.default_rng(4)
         jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, k, 40, 5)]
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 22)  # room for every row set met
         warm = TreeFitter(data.X)
         for y, rows in jobs:
             warm.fit(y, rows, limits)
@@ -238,22 +239,21 @@ class TestSearchCache:
         assert warm._groups.entries.keys() == cached.keys()
         assert all(warm._groups.entries[key] is entry for key, entry in cached.items())
 
-    def test_cache_past_its_bound_gives_uncached_trees(self, make_data, k, limits):
+    def test_cache_past_its_bound_gives_fresh_fitter_trees(self, make_data, k, limits, monkeypatch):
         data = make_data()
         rng = np.random.default_rng(6)
         row_sets = _row_sets(data.n_rows, k, 12, 7)
-        small = TreeFitter(data.X, cache_bytes=8_000)
-        fresh = TreeFitter(data.X, cache_bytes=0)
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 8_000)
+        small = TreeFitter(data.X)
         stored = set()
         put = small._groups.put
         small._groups.put = lambda key, group: (stored.add(key), put(key, group))
         for _ in range(6):
             y = rng.normal(size=data.n_rows)
             for rows in row_sets:
-                _assert_same_tree(small.fit(y, rows, limits), fresh.fit(y, rows, limits))
+                _assert_same_tree(small.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
         assert all(cache.nbytes <= cache.budget for cache in (small._groups, small._counts))
         assert 0 < len(small._groups.entries) < len(stored)  # entries were dropped to stay in budget
-        assert not fresh._groups.entries and not fresh._counts.entries
 
 
 def test_search_cache_is_per_min_leaf():
@@ -263,7 +263,7 @@ def test_search_cache_is_per_min_leaf():
     for rows in _row_sets(data.n_rows, 23, 10, 3) * 2:
         y = rng.normal(size=data.n_rows)
         for limits in (TreeLimits(6, 1), TreeLimits(6, 5)):
-            _assert_same_tree(fitter.fit(y, rows, limits), TreeFitter(data.X, cache_bytes=0).fit(y, rows, limits))
+            _assert_same_tree(fitter.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
 
 
 @pytest.fixture(scope="module")

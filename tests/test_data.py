@@ -81,6 +81,19 @@ class TestLoadModelTable:
         with pytest.raises(ValueError, match="row 2, column 'MSP'"):
             load_model_table(io.StringIO(csv))
 
+    @pytest.mark.parametrize(
+        "csv, where",
+        [
+            ("year,FCPI,MSP\n2003,1.0,2.0\n2002,,2.5\n", "row 3, column 'FCPI': response missing at FY02"),
+            ("year,FCPI,MSP\n2002,1.0,2.0\n2003,1.5,-inf\n", "row 3, column 'MSP': predictor values must be finite"),
+            ("year,FCPI,MSP\n2005,1.0,2.0\n2002,1.5,2.5\n", "row 2, column 'year': .*saw 2002 then 2005"),
+        ],
+    )
+    def test_dataset_faults_name_the_file_row(self, csv, where):
+        """Rows are named as in the file, although the table is sorted by year."""
+        with pytest.raises(ValueError, match=f"^<stream>: {where}"):
+            load_model_table(io.StringIO(csv))
+
     def test_header_rules(self):
         with pytest.raises(ValueError, match="first column must be 'year'"):
             load_model_table(io.StringIO("FCPI,MSP\n1.0,2.0\n"))

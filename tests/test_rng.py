@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from brt.rng import SplitMix64, sample_without_replacement, stages_per_block, subsample_blocks
+from brt.rng import SplitMix64, sample_without_replacement
 
 
 def test_reference_values():
@@ -57,41 +56,3 @@ def test_sample_full_and_empty():
     assert sample_without_replacement(5, 0, rng) == []
     with pytest.raises(ValueError):
         sample_without_replacement(3, 4, rng)
-
-
-def _stage_by_stage(n, k, seed, n_stages):
-    rng = SplitMix64(seed)
-    return [sample_without_replacement(n, k, rng) for _ in range(n_stages)]
-
-
-def _blocks(n, k, seed, n_stages, dtype=np.intp):
-    blocks = list(subsample_blocks(n, k, seed, n_stages, dtype))
-    assert all(b.dtype == dtype and b.shape[1] == k for b in blocks)
-    return np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=dtype)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -12345])
-@pytest.mark.parametrize("n, k, n_stages", [(25, 23, 50_000), (40, 32, 300)])
-def test_block_draw_equals_stage_by_stage_draws(n, k, n_stages, seed):
-    assert n_stages % stages_per_block(n)  # ends in a partial block
-    assert _blocks(n, k, seed, n_stages).tolist() == _stage_by_stage(n, k, seed, n_stages)
-
-
-def test_negative_seed_is_taken_mod_2_64():
-    assert _blocks(25, 23, -12345, 70).tolist() == _blocks(25, 23, 2**64 - 12345, 70).tolist()
-
-
-@pytest.mark.parametrize("n, k", [(25, 25), (1, 1), (7, 0), (300, 290)])
-def test_block_draw_at_block_edges_and_full_subsets(n, k):
-    per = stages_per_block(n)
-    for n_stages in (0, 1, per - 1, per, per + 1, 2 * per + 3):
-        got = _blocks(n, k, 9, n_stages, np.uint16)
-        assert got.shape == (n_stages, k)
-        assert got.tolist() == _stage_by_stage(n, k, 9, n_stages)
-
-
-def test_block_draw_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        next(subsample_blocks(3, 4, 1, 1))
-    with pytest.raises(ValueError):
-        next(subsample_blocks(2**32, 1, 1, 1))

@@ -8,7 +8,6 @@ from brt.tree import (
     MIN_IMPROVEMENT_FRACTION,
     RegressionTree,
     SplitCandidate,
-    TreeFitter,
     TreeLimits,
     fit_tree,
     predict_tree,
@@ -312,29 +311,3 @@ def test_property_routing_matches_naive_walker(case):
     expected = [naive_flat_leaf(*arrays, row) for row in rows]
     assert tree.leaf_assignments(X).tolist() == expected
     assert tree.predict_batch(X).tolist() == [float(i) for i in expected]
-
-
-def test_stacked_sibling_search_equals_searching_each_alone():
-    """Siblings of different sizes, many NaN per feature and targets of mixed
-    magnitude, so that the pairwise NaN sums and the padding both matter."""
-    rng = np.random.default_rng(8)
-    n, d = 60, 2
-    X = np.round(rng.normal(size=(n, d)), 1)
-    X[rng.random((n, d)) < 0.5] = np.nan
-    fitter = TreeFitter(X, cache_bytes=0)
-    fitter._min_leaf = 2
-    for _ in range(200):
-        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
-        perm = rng.permutation(n)
-        cut = int(rng.integers(5, 40))
-        nodes = [(1, np.sort(perm[:cut]), 0.0), (2, np.sort(perm[cut : cut + int(rng.integers(5, 20))]), 0.0)]
-        nodes = [(nid, rows, float(y[rows].sum())) for nid, rows, _ in nodes]
-        together, alone = [], []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fitter._search(y, nodes, together)
-            for node in nodes:
-                fitter._search(y, [node], alone)
-        assert len(together) == len(alone)
-        for a, b in zip(sorted(together, key=lambda e: e[1]), sorted(alone, key=lambda e: e[1])):
-            assert a[:3] == b[:3]
-            assert a[3].tolist() == b[3].tolist() and a[4].tolist() == b[4].tolist()
