@@ -285,23 +285,30 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
 
 
 def load_weights_csv(source) -> dict[str, float]:
-    """Read an item,weight CSV into a mapping."""
-    header, body = _read_rows(source)
-    if header != ["item", "weight"]:
-        raise ValueError(f"weights file must have columns ['item', 'weight'], got {header}")
+    """Read an item,weight CSV into a mapping. A malformed file raises a
+    ValueError naming the source, and the row (and column) where there is
+    one."""
     out: dict[str, float] = {}
-    for i, row in body:
-        if len(row) != 2:
-            raise ValueError(f"row {i} has {len(row)} cells, expected 2")
-        item = row[0].strip()
-        if item in out:
-            raise ValueError(f"duplicate item {item!r}")
-        w = _parse_cell(row[1], i, "weight")
-        if not math.isfinite(w) or w < 0:
-            raise ValueError(f"weight for {item!r} must be a nonnegative number")
-        out[item] = w
-    if not out:
-        raise ValueError("weights file is empty")
+    try:
+        header, body = _read_rows(source)
+        if header != ["item", "weight"]:
+            raise ValueError(f"row 1: weights file must have columns ['item', 'weight'], got {header}")
+        for i, row in body:
+            if len(row) != 2:
+                raise ValueError(f"row {i} has {len(row)} cells, expected 2")
+            item = row[0].strip()
+            if not item:
+                raise ValueError(f"row {i}, column 'item': empty item")
+            if item in out:
+                raise ValueError(f"row {i}, column 'item': duplicate item {item!r}")
+            w = _parse_cell(row[1], i, "weight")
+            if not math.isfinite(w) or w < 0:
+                raise ValueError(f"row {i}, column 'weight': weight for {item!r} must be a nonnegative number")
+            out[item] = w
+        if not out:
+            raise ValueError("no data rows below the header in row 1")
+    except ValueError as e:
+        raise ValueError(f"{_source_name(source)}: {e}") from None
     return out
 
 

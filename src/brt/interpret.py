@@ -1,12 +1,16 @@
 """Post-fit analytics: relative influence, partial dependence, interactions.
 
-Partial dependence is defined by brute force, and computed that way: sweep
-the chosen feature(s) over a grid and, at each grid point, average the
-model's prediction over every learn record with that feature overridden.
-Profiles and surfaces are centered to zero mean over their grid. At 25
-records and a few dozen grid points this is cheap even for 50k-tree models
-because each sweep is one prediction batch, in which every distinct tree
-structure is routed once and each stage only looks up its leaf values.
+Partial dependence is defined by brute force: sweep the chosen feature(s)
+over a grid and, at each point, average the model's prediction over every
+learn record with those features overridden; profiles and surfaces are
+centered over their grid. It is computed by path factorisation (Friedman
+2001, section 8.2): a record with the features S set to g reaches leaf l
+exactly when g passes l's path splits on S and the record passes the rest,
+so PD_S(g) = f0 + sum over structures and leaves l of T[l] * pass_l,S(g) *
+mean_r pass_l,not S(x_r), T being a structure's scaled leaf values summed
+in stage order. Passes use ``RegressionTree.leaf_assignments``'s tests, so
+NaN, +-inf and values on a threshold go where prediction sends them; this
+matches the brute-force loop to 1e-12 without a grid-by-records batch.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at
@@ -16,12 +20,8 @@ the learn records and normalised to the variation of the model output:
             over the learn records)
     score = 100 * sum(d_i^2) / sum((F(x_i) - mean F)^2)
 
-Only trees that split on both j and k contribute to d (the others cancel
-exactly), so d is computed per distinct tree structure over those trees
-alone; it matches the brute-force definition to 1e-12, and a pair that no
-tree splits on together scores exactly 0. The overall interaction strength
-of a feature is the plain sum of its pairwise scores against every other
-feature.
+A pair that no tree splits on together scores exactly 0. A feature's
+overall strength is the sum of its pairwise scores.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .boosting import BoostedModel, predict_batch
-from .tree import split_improvements
+from .tree import RegressionTree, split_improvements
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,18 @@ def _usable_rows(model: BoostedModel, data) -> np.ndarray:
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
-    y = np.asarray(data.y, dtype=np.float64)
-    keep = np.isfinite(y)
-    X = X[keep] if not keep.all() else X
+    X = X[np.isfinite(np.asarray(data.y, dtype=np.float64))]
     if X.shape[0] == 0:
         raise ValueError("empty learn sample")
     return X
+
+
+def _check_features(model: BoostedModel, *features: int) -> None:
+    if len(set(features)) < len(features):
+        raise ValueError("features must differ")
+    for f in features:
+        if not 0 <= f < model.n_features:
+            raise ValueError(f"feature index {f} out of range")
 
 
 def _resolve_grid(X: np.ndarray, feature: int, grid_spec) -> np.ndarray:
@@ -118,42 +124,64 @@ def _resolve_grid(X: np.ndarray, feature: int, grid_spec) -> np.ndarray:
     return np.linspace(float(col.min()), float(col.max()), g)
 
 
+def _structures(model: BoostedModel) -> list[tuple[RegressionTree, np.ndarray]]:
+    """Each distinct tree structure, in order of first use, with its leaf
+    table: the scaled values of its stages' leaves summed in stage order."""
+    plan = model.packed
+    first: dict[int, int] = {}  # structure id (0, 1, ... by first use) -> that first stage
+    for m, sid in enumerate(plan.structure.tolist()):
+        first.setdefault(sid, m)
+    tables = np.zeros((len(first), plan.scaled.shape[1]))
+    np.add.at(tables, plan.structure, plan.scaled)
+    trees = [model.stages[m].tree for m in first.values()]
+    return [(t, tables[sid, : t.node_count][t.feature < 0]) for sid, t in enumerate(trees)]
+
+
+def _passes(tree: RegressionTree, V: np.ndarray, cols) -> np.ndarray:
+    """P[leaf, c, row]: does V[row, c], as a value of feature cols[c], pass
+    every split on that feature along the path to the leaf? Leaves are in
+    node order; splits on features outside `cols` are not checked."""
+    at = {f: c for c, f in enumerate(cols)}
+    ok = np.ones((tree.node_count, len(at), V.shape[0]), dtype=bool)
+    nodes = zip(*(a.tolist() for a in (tree.feature, tree.threshold, tree.missing_right, tree.left, tree.right)))
+    for i, (f, thr, missing_right, lo, hi) in enumerate(nodes):
+        if f < 0:
+            continue
+        ok[lo] = ok[hi] = ok[i]  # children are numbered after their parent
+        c = at.get(f)
+        if c is not None:
+            right = ~(V[:, c] <= thr) if missing_right else V[:, c] > thr  # as leaf_assignments routes
+            ok[lo, c] &= ~right
+            ok[hi, c] &= right
+    return ok[tree.feature < 0]
+
+
 def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
     """Mean prediction over all rows of X with `features` overridden by each
-    row of `points`; the brute-force partial-dependence kernel."""
-    n = X.shape[0]
-    g = points.shape[0]
-    batch = np.tile(X, (g, 1)).reshape(g, n, X.shape[1])
-    for idx, f in enumerate(features):
-        batch[:, :, f] = points[:, idx][:, None]
-    preds = predict_batch(model, batch.reshape(g * n, X.shape[1]))
-    return preds.reshape(g, n).sum(axis=1) / n
+    row of `points`, by path factorisation (see the module docstring)."""
+    rest = [f for f in range(X.shape[1]) if f not in features]
+    out = np.full(points.shape[0], model.f0)
+    for tree, table in _structures(model):
+        reach = np.where(_passes(tree, X[:, rest], rest).all(axis=1), 1.0, 0.0).sum(axis=1) / X.shape[0]
+        out += np.where(_passes(tree, points, features).all(axis=1), (table * reach)[:, None], 0.0).sum(axis=0)
+    return out
 
 
 def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=None) -> PDProfile:
     """Centered mean-response curve for one feature (brute-force contract)."""
     X = _usable_rows(model, data)
-    if not 0 <= feature < model.n_features:
-        raise ValueError(f"feature index {feature} out of range")
+    _check_features(model, feature)
     grid = _resolve_grid(X, feature, grid_spec)
     raw = _pd_means(model, X, (feature,), grid[:, None])
-    values = raw - raw.sum() / len(raw)
-    return PDProfile(feature, model.feature_names[feature], grid, values)
+    return PDProfile(feature, model.feature_names[feature], grid, raw - raw.sum() / len(raw))
 
 
 def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=None) -> PDSurface:
     """Centered mean-response grid for a feature pair."""
-    if j == k:
-        raise ValueError("features must differ")
+    _check_features(model, j, k)
     X = _usable_rows(model, data)
-    for f in (j, k):
-        if not 0 <= f < model.n_features:
-            raise ValueError(f"feature index {f} out of range")
-    grid_j = _resolve_grid(X, j, grid_spec)
-    grid_k = _resolve_grid(X, k, grid_spec)
-    points = np.empty((len(grid_j) * len(grid_k), 2))
-    points[:, 0] = np.repeat(grid_j, len(grid_k))
-    points[:, 1] = np.tile(grid_k, len(grid_j))
+    grid_j, grid_k = (_resolve_grid(X, f, grid_spec) for f in (j, k))
+    points = np.column_stack([np.repeat(grid_j, len(grid_k)), np.tile(grid_k, len(grid_j))])
     raw = _pd_means(model, X, (j, k), points).reshape(len(grid_j), len(grid_k))
     values = raw - raw.sum() / raw.size
     return PDSurface((j, k), (model.feature_names[j], model.feature_names[k]), grid_j, grid_k, values)
@@ -175,61 +203,40 @@ def _interaction_denominator(model: BoostedModel, X: np.ndarray, data, which: st
     return den
 
 
-def _interaction_scores(model: BoostedModel, data, denominator: str, pairs) -> dict[tuple[int, int], float]:
-    """Score of each (j, k) in `pairs` (j < k) from d = PDjk - PDj - PDk at
-    each record, centered over the records.
+def _interaction_scores(model: BoostedModel, data, denominator: str) -> np.ndarray:
+    """Scores of all pairs: entry [j, k], j < k, from d = PDjk - PDj - PDk.
 
     A tree that splits on neither feature shifts all three dependences by
-    one constant, which centering removes, and a tree that splits on only j
-    adds the same vector to PDjk and PDj. So in exact arithmetic d is the
-    centered sum, over the distinct structures that split on both j and k,
-    of B - Uj - Uk: the mean over the records of the structure's summed leaf
-    table with both (B) or one (U) of the features overridden by each
-    record's own values. Missing cells stay missing under override and route
-    by each split's default side. Pairs that share no tree are exactly zero
-    and never routed.
+    one constant, which centering removes; one that splits on only j adds
+    the same vector to PDjk and PDj. So d is the centered sum, over the
+    structures that split on both, of B - Uj - Uk: the structure's PD with
+    both (B) or one (U) feature set to each record's own values.
     """
     X = _usable_rows(model, data)
     den = _interaction_denominator(model, X, data, denominator)
-    plan = model.packed
-    n = X.shape[0]
-    first_stage: dict[int, int] = {}  # structure id (0, 1, ... by first use) -> that first stage
-    for m, sid in enumerate(plan.structure.tolist()):
-        first_stage.setdefault(sid, m)
-    tables = np.zeros((len(first_stage), plan.scaled.shape[1]))
-    np.add.at(tables, plan.structure, plan.scaled)  # stage order within each structure
-    batch = np.tile(X, (n, 1))  # row i*n + r: record r with record i's values in the swept columns
-    grid = batch.reshape(n, n, X.shape[1])
-
-    def sweep(tree, table, cols: list[int]) -> np.ndarray:
-        grid[:, :, cols] = X[:, None, cols]
-        leaves = tree.leaf_assignments(batch)
-        grid[:, :, cols] = X[None, :, cols]
-        return table.take(leaves).reshape(n, n).sum(axis=1) / n
-
-    deltas = {p: np.zeros(n) for p in pairs}
-    for sid, m in first_stage.items():
-        tree = model.stages[m].tree
+    n, d = X.shape
+    delta = np.zeros((d, d, n))  # the diagonal is never read
+    for tree, table in _structures(model):
         used = sorted(set(tree.feature.tolist()) - {-1})
-        shared = [p for p in combinations(used, 2) if p in deltas]
-        if not shared:
+        if len(used) < 2:
             continue
-        uni = {f: sweep(tree, tables[sid], [f]) for f in sorted({f for p in shared for f in p})}
-        for j, k in shared:
-            deltas[(j, k)] += sweep(tree, tables[sid], [j, k]) - uni[j] - uni[k]
-    centered = {p: d - d.sum() / n for p, d in deltas.items()}
-    return {p: 100.0 * float((d * d).sum()) / den for p, d in centered.items()}
+        miss = np.where(_passes(tree, X[:, used], used), 0.0, 1.0)  # floats: int sums page in more numpy
+        fails = miss.sum(axis=1)  # per leaf and record: features whose path splits it fails
+        # share of records failing no feature but j (one), or but j and k (two)
+        one = np.where(fails[:, None, :] == miss, 1.0, 0.0).sum(axis=2) / n
+        two = np.where(fails[:, None, None, :] == miss[:, :, None, :] + miss[:, None, :, :], 1.0, 0.0).sum(axis=3) / n
+        hit = 1.0 - miss
+        U = ((table[:, None] * one)[:, :, None] * hit).sum(axis=0)
+        B = ((table[:, None, None] * two)[..., None] * (hit[:, :, None, :] * hit[:, None, :, :])).sum(axis=0)
+        delta[np.ix_(used, used)] += B - U[:, None, :] - U[None, :, :]
+    centered = delta - delta.sum(axis=2, keepdims=True) / n
+    return 100.0 * (centered * centered).sum(axis=2) / den
 
 
 def pairwise_interaction(model: BoostedModel, j: int, k: int, data, denominator: str = "model") -> float:
     """Interaction strength of one feature pair, in percent of output variation."""
-    if j == k:
-        raise ValueError("features must differ")
-    for f in (j, k):
-        if not 0 <= f < model.n_features:
-            raise ValueError(f"feature index {f} out of range")
-    pair = (j, k) if j < k else (k, j)
-    return _interaction_scores(model, data, denominator, [pair])[pair]
+    _check_features(model, j, k)
+    return float(_interaction_scores(model, data, denominator)[min(j, k), max(j, k)])
 
 
 def overall_interaction(model: BoostedModel, data, denominator: str = "model") -> dict[int, float]:
@@ -238,19 +245,12 @@ def overall_interaction(model: BoostedModel, data, denominator: str = "model") -
 
 
 def interaction_report(model: BoostedModel, data, denominator: str = "model") -> InteractionReport:
-    """All pairwise scores plus per-feature overall strengths.
-
-    Each distinct tree structure that splits on two or more features is
-    routed once per feature and once per feature pair it splits on, over
-    the records with those features overridden; the scores equal
-    pairwise_interaction's for every pair.
-    """
+    """All pairwise scores, each bit-equal to pairwise_interaction's (both
+    read one computation of every pair), plus per-feature overall strengths."""
     d = model.n_features
     if d < 2:
         raise ValueError("interaction analysis needs at least 2 features")
-    pairwise = _interaction_scores(model, data, denominator, list(combinations(range(d), 2)))
-    overall = {
-        j: float(sum(v for (a, b), v in pairwise.items() if j in (a, b)))
-        for j in range(d)
-    }
+    scores = _interaction_scores(model, data, denominator)
+    pairwise = {(j, k): float(scores[j, k]) for j, k in combinations(range(d), 2)}
+    overall = {j: float(sum(v for pair, v in pairwise.items() if j in pair)) for j in range(d)}
     return InteractionReport(model.feature_names, pairwise, overall)

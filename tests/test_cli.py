@@ -251,6 +251,15 @@ class TestBuildData:
         assert code == 1
         assert "cpi_food.csv: no data rows" in err
 
+    def test_bad_weights_file_names_the_file_and_row(self, tmp_path, capsys):
+        write_toy_raw(tmp_path / "raw")
+        path = tmp_path / "raw" / "agri_input_weights.csv"
+        path.write_text("item,weight\ndiesel,0.5\ndiesel,0.5\n")
+        code, _, err = run(["build-data", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert f"{path}: row 3, column 'item': duplicate item 'diesel'" in err
+        assert "Traceback" not in err
+
 
 def test_bundled_dataset_trains_quickly(tmp_path, capsys):
     code, stdout, _ = run(

@@ -16,6 +16,7 @@ from brt.data import (
     load_model_table,
     load_raw_directory,
     load_series_csv,
+    load_weights_csv,
     monsoon_deviation,
     weighted_index,
     write_model_table,
@@ -142,6 +143,50 @@ class TestLoadSeriesCsv:
         tbl = load_series_csv(io.StringIO("year,rice,wheat\n2001,1,2\n2002,3,4\n"))
         assert set(tbl.columns) == {"rice", "wheat"}
         assert tbl.series("rice") == {2001: 1.0, 2002: 3.0}
+
+
+class TestLoadWeightsCsv:
+    def test_reads_items(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("item,weight\ndiesel,0.5\n\nfertiliser, 1.5 \n")
+        assert load_weights_csv(path) == {"diesel": 0.5, "fertiliser": 1.5}
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("item,w\na,1\n", "row 1: weights file must have columns"),
+            ("weight,item\n1,a\n", "row 1: weights file must have columns"),
+            ("item,weight\na,1,2\n", "row 2 has 3 cells, expected 2"),
+            ("item,weight\na,1\nb,x\n", "non-numeric cell at row 3, column 'weight'"),
+            ("item,weight\na,1\nb,2\na,3\n", "row 4, column 'item': duplicate item 'a'"),
+            ("item,weight\n ,1\n", "row 2, column 'item': empty item"),
+            ("item,weight\na,-1\n", "row 2, column 'weight': weight for 'a' must be a nonnegative number"),
+            ("item,weight\na,1\nb,\n", "row 3, column 'weight': weight for 'b' must be a nonnegative"),
+            ("item,weight\na,inf\n", "row 2, column 'weight'"),
+            ("item,weight\n", "no data rows below the header in row 1"),
+            ("", "missing header row"),
+        ],
+        ids=["header", "column-order", "cell-count", "non-numeric", "duplicate", "empty-item", "negative",
+             "missing-weight", "infinite", "no-rows", "empty-file"],
+    )
+    def test_errors_name_file_and_row(self, tmp_path, text, where):
+        path = tmp_path / "agri_input_weights.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_weights_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert where in str(info.value)
+
+    def test_stream_errors_name_the_stream(self):
+        with pytest.raises(ValueError, match="^<stream>: row 3, column 'item': duplicate item 'a'"):
+            load_weights_csv(io.StringIO("item,weight\na,1\na,2\n"))
+
+    def test_raw_directory_error_names_weights_file(self, tmp_path):
+        write_toy_raw(tmp_path / "raw")
+        path = tmp_path / "raw" / "agri_input_weights.csv"
+        path.write_text("item,w\ndiesel,0.5\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 1: weights file must have columns"):
+            load_raw_directory(tmp_path / "raw")
 
 
 class TestTransforms:
@@ -317,6 +362,7 @@ def test_fy_label():
 # one cell, one header cell or one line of each and load the result.
 _MODEL_CSV = "year,FCPI,MSP,FWI\n2001,1.5,2.0,\n2002,2.5,NA,3.0\n2003,3.5,4.0,5.0\n"
 _SERIES_CSV = "year,rice,wheat\n2001,10,20\n2002,12,20\n2003,15,22\n"
+_WEIGHTS_CSV = "item,weight\ndiesel,0.5\nfertiliser,0.25\nseed,1.5\n"
 _CELL_TEXT = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["", "NA", "nan", "inf", "-inf", "1e400", "x", "2001", "2004", "1999", " 7 ", "-0", "٣", '"', "a,b"]),
@@ -381,3 +427,10 @@ def test_mutated_model_table_loads_or_names_file_row_and_column(csv_dir, data):
 def test_mutated_series_loads_or_names_file_row_and_column(csv_dir, data):
     text, cell = _mutate(_SERIES_CSV, data)
     _load_or_named_error(lambda p: load_series_csv(p, ("rice", "wheat")), csv_dir / "series.csv", text, cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_weights_load_or_name_file_row_and_column(csv_dir, data):
+    text, cell = _mutate(_WEIGHTS_CSV, data)
+    _load_or_named_error(load_weights_csv, csv_dir / "weights.csv", text, cell)

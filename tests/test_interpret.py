@@ -1,8 +1,11 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brt import interpret
 from brt.boosting import BoostConfig, BoostedModel, Stage, fit_ensemble, predict, predict_batch
 from brt.data import Dataset
 from brt.interpret import (
@@ -339,6 +342,7 @@ class TestInteractionsPerStructure:
 
     @pytest.fixture()
     def routed(self, monkeypatch):
+        """(split features, rows) of every leaf_assignments call."""
         calls = []
         original = RegressionTree.leaf_assignments
 
@@ -349,7 +353,34 @@ class TestInteractionsPerStructure:
         monkeypatch.setattr(RegressionTree, "leaf_assignments", counting)
         return calls
 
-    def test_only_structures_splitting_on_two_features_are_routed(self, routed):
+    @pytest.fixture()
+    def pass_tables(self, monkeypatch):
+        """(split features, table shape) of every pass table the kernel builds."""
+        calls = []
+        original = interpret._passes
+
+        def counting(tree, V, cols):
+            table = original(tree, V, cols)
+            calls.append((split_features(tree), table.shape))
+            return table
+
+        monkeypatch.setattr(interpret, "_passes", counting)
+        return calls
+
+    def test_report_makes_no_n_squared_routing(self, routed, pass_tables):
+        n = 12
+        ds = random_dataset(np.random.default_rng(7), n, 4, missing=True)
+        model = fit_ensemble(
+            ds, BoostConfig(n_trees=30, learn_rate=0.3, max_nodes=9, min_leaf_obs=1, subsample_fraction=0.8, seed=4)
+        )
+        interaction_report(model, ds, denominator="model")
+        assert routed and all(rows == n for _, rows in routed)  # the denominator's predict_batch only
+        assert pass_tables and all(shape[2] == n for _, shape in pass_tables)
+        routed.clear()
+        interaction_report(model, ds, denominator="response")
+        assert routed == []
+
+    def test_only_structures_splitting_on_two_features_build_pass_tables(self, pass_tables):
         stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [0.3], [0.0], 3)
         trees = [
             (stump, 1.0),
@@ -364,25 +395,104 @@ class TestInteractionsPerStructure:
         X = np.random.default_rng(5).uniform(size=(n, 3))
         X[2, 1] = np.nan
         ds = Dataset.from_arrays(X, np.arange(n, dtype=float))
-        rep = interaction_report(model, ds, denominator="response")
-        assert routed == [((1, 2), n * n)] * 3  # sweeps of x1, x2 and (x1, x2)
-        assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
-        assert rep.pairwise[(1, 2)] > 0.0
-        routed.clear()
-        interaction_report(model, ds, denominator="model")
-        assert sorted(routed) == sorted([((1, 2), n * n)] * 3 + [(split_features(t), n) for t, _ in trees[:5]])
+        for denominator in ("response", "model"):
+            pass_tables.clear()
+            rep = interaction_report(model, ds, denominator=denominator)
+            assert pass_tables == [((1, 2), (3, 2, n))]  # 3 leaves, features x1 and x2, n records
+            assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
+            assert rep.pairwise[(1, 2)] > 0.0
 
-    def test_no_shared_tree_routes_only_the_denominator(self, routed):
+    def test_no_shared_pair_builds_no_pass_table(self, routed, pass_tables):
         trees = [(split_tree(f, 0.5, -1.0, 1.0 + f, 3), 1.0) for f in range(3)] + [(two_split_tree(2, 2, 3), 1.0)]
         model = make_manual_model(trees, 3)
         n = 5
         ds = Dataset.from_arrays(np.random.default_rng(2).uniform(size=(n, 3)), np.arange(n, dtype=float))
         rep = interaction_report(model, ds, denominator="model")
         assert all(score == 0.0 for score in rep.pairwise.values())
+        assert pass_tables == []
         assert routed == [((f,), n) for f in (0, 1, 2, 2)]  # predict_batch: one routing per structure
-        routed.clear()
-        interaction_report(model, ds, denominator="response")
-        assert routed == []
+
+
+# Thresholds and cell values share one pool, so grid points and records fall
+# exactly on thresholds; records also hold NaN and +-inf.
+POOL = (-1.0, 0.0, 0.5, 1.0, 2.5)
+CELLS = POOL + (0.25, 3.0, float("nan"), float("inf"), float("-inf"))
+
+
+def random_tree(draw, n_features: int) -> RegressionTree:
+    """A hand-made tree structure of up to 4 splits, children numbered after
+    their parent; internal nodes carry a value prediction must never read."""
+    feature, threshold, missing_right, left, right, value = [-1], [0.0], [False], [-1], [-1], [0.0]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.sampled_from([i for i, f in enumerate(feature) if f < 0]))
+        feature[i] = draw(st.integers(0, n_features - 1))
+        threshold[i] = draw(st.sampled_from(POOL))
+        missing_right[i] = draw(st.booleans())
+        left[i], right[i] = len(feature), len(feature) + 1
+        value[i] = 99.0
+        columns = (feature, threshold, missing_right, left, right, value)
+        for column, blank in zip(columns, (-1, 0.0, False, -1, -1, 0.0)):
+            column += [blank, blank]  # the two new leaves
+    return RegressionTree(feature, threshold, missing_right, left, right, value, [0.0] * len(feature), n_features)
+
+
+class TestFactorisedKernelProperty:
+    """The path-factorised kernel against the brute-force oracles, on random
+    ensembles whose stages share structures."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        draw = data.draw
+        d, n = draw(st.integers(2, 4)), draw(st.integers(3, 7))
+        shapes = [random_tree(draw, d) for _ in range(draw(st.integers(1, 3)))]
+        stages = []
+        for _ in range(draw(st.integers(1, 6))):
+            t = draw(st.sampled_from(shapes))  # structures repeat with new leaf values
+            values = [v if f >= 0 else draw(st.integers(-8, 8)) / 4.0 for v, f in zip(t.value, t.feature)]
+            tree = RegressionTree(t.feature, t.threshold, t.missing_right, t.left, t.right, values, t.improvement, d)
+            stages.append((tree, draw(st.sampled_from((1.0, 0.5, -1.5)))))
+        model = make_manual_model(stages, d, lr=draw(st.sampled_from((1.0, 0.5))), f0=0.25)
+        X = np.array([[draw(st.sampled_from(POOL if i == 0 else CELLS)) for _ in range(d)] for i in range(n)])
+        records = SimpleNamespace(X=X, y=np.arange(n, dtype=float) ** 2)  # Dataset rejects +-inf cells
+        rows = [list(r) for r in X]
+        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)], g * t.value)
+                for t, g in ((s.tree, model.config.learn_rate * s.gamma) for s in model.stages)]
+
+        def predict_fn(row):
+            acc = model.f0
+            for arrays, values in walk:
+                acc += values[naive_flat_leaf(*arrays, row)]
+            return acc
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        grid_spec = draw(st.sampled_from((None, 3)))
+        for f in range(d):
+            p = partial_dependence_1d(model, f, records, grid_spec)
+            want = naive_pd_1d(predict_fn, rows, f, list(p.grid))
+            assert all(close(a, b) for a, b in zip(p.values, want))
+        j, k = draw(st.sampled_from(list(itertools.combinations(range(d), 2))))
+        s = partial_dependence_2d(model, k, j, records, grid_spec)
+        want = naive_pd_2d(predict_fn, rows, k, j, list(s.grid_j), list(s.grid_k))
+        assert all(close(a, b) for got_row, want_row in zip(s.values, want) for a, b in zip(got_row, want_row))
+
+        shared = {p for t, _ in stages for p in itertools.combinations(split_features(t), 2)}
+        outputs = [predict_fn(r) for r in rows]
+        refs = {"response": list(records.y)}
+        if len(set(outputs)) > 1:
+            refs["model"] = outputs
+        else:  # dyadic leaf values: equal outputs have exactly zero variation
+            with pytest.raises(ValueError, match="degenerate model"):
+                interaction_report(model, records, "model")
+        for denominator, ref in refs.items():
+            rep = interaction_report(model, records, denominator)
+            for (a, b), score in rep.pairwise.items():
+                assert close(score, naive_interaction(predict_fn, rows, a, b, ref)), (a, b, denominator)
+                assert pairwise_interaction(model, b, a, records, denominator) == score
+                if (a, b) not in shared:
+                    assert score == 0.0
 
 
 class TestResponseShiftInvariance:
