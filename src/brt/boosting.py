@@ -10,20 +10,22 @@ the learn rate, and adds it to the running model:
 Everything is deterministic for a fixed seed: subsampling uses the
 package's portable splitmix64 stream, split search has fixed tie rules,
 and all reductions run in a fixed order, so models are bit-identical
-across runs and operating systems.
+across runs and operating systems. A model keeps its stages as one table
+of padded node columns (BoostedModel), which prediction reads directly.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .rng import SplitMix64, sample_without_replacement
-from .tree import RegressionTree, TreeFitter, TreeLimits
+from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,28 @@ class Stage:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoostedModel:
-    """Immutable fitted ensemble: f0 plus ordered, gamma-scaled trees."""
+    """Immutable fitted ensemble: f0 plus ordered, gamma-scaled trees, stored
+    as columns: stage m is row m of ``gamma``, ``node_count`` and each
+    (n_stages, widest tree) array in ``nodes``, one per NODE_FIELDS entry,
+    with leaf placeholders past the stage's node count."""
 
     f0: float
-    stages: tuple[Stage, ...]
     config: BoostConfig
     feature_names: tuple[str, ...]
+    gamma: np.ndarray
+    node_count: np.ndarray
+    nodes: dict[str, np.ndarray]
     degenerate_stages: int = 0  # stages whose tree output was identically zero
+
+    @classmethod
+    def from_stages(cls, f0, stages, config, feature_names, degenerate_stages=0) -> BoostedModel:
+        """The model of a sequence of Stages, their trees padded into columns."""
+        count = np.array([s.tree.node_count for s in stages], dtype=np.intp)
+        nodes = {k: np.concatenate([getattr(s.tree, k) for s in stages] or [[]]) for k in NODE_FIELDS}
+        gamma = np.array([s.gamma for s in stages], dtype=np.float64)
+        return cls(f0, config, tuple(feature_names), gamma, count, node_columns(count, nodes), degenerate_stages)
 
     @property
     def n_features(self) -> int:
@@ -83,49 +98,72 @@ class BoostedModel:
 
     @property
     def n_stages(self) -> int:
-        return len(self.stages)
+        return len(self.gamma)
+
+    @property
+    def stages(self) -> Sequence[Stage]:
+        return _Stages(self)
 
     @cached_property
-    def packed(self) -> PackedStages:
-        """Prediction plan, built on first use and kept with the model."""
-        return PackedStages.build(self)
+    def structure(self) -> np.ndarray:
+        """Structure id of each stage, numbered by first use: stages share one when
+        their node counts and feature, threshold, missing_right, left and right rows match."""
+        n = self.nodes
+        routing = [n["feature"], n["threshold"].view(np.int64), n["missing_right"], n["left"], n["right"]]
+        keys = np.column_stack([self.node_count, *routing])
+        ids: dict[bytes, int] = {}
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+        return np.array([ids.setdefault(r, len(ids)) for r in rows], dtype=np.intp)
+
+    @cached_property
+    def last_use(self) -> np.ndarray:
+        """True at the last stage of each structure."""
+        last = np.zeros(self.n_stages, dtype=bool)
+        last[list({sid: m for m, sid in enumerate(self.structure.tolist())}.values())] = True
+        return last
+
+    @cached_property
+    def structure_tables(self) -> list[tuple[RegressionTree, np.ndarray]]:
+        """Each distinct tree structure, in order of first use, with its leaf
+        table: the scaled values of its stages' leaves summed in stage order."""
+        first = {sid: m for m, sid in reversed(list(enumerate(self.structure.tolist())))}  # id -> its first stage
+        tables = np.zeros((len(first), self.scaled.shape[1]))
+        np.add.at(tables, self.structure, self.scaled)
+        trees = [self.stages[first[sid]].tree for sid in range(len(first))]
+        return [(t, tables[sid, : t.node_count][t.feature < 0]) for sid, t in enumerate(trees)]
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """Leaf tables: row m is ``(learn_rate*gamma_m) * value_m``, the product stage m adds."""
+        return (self.config.learn_rate * self.gamma)[:, None] * self.nodes["value"]
+
+
+def node_columns(count: np.ndarray, nodes) -> dict[str, np.ndarray]:
+    """One (n_stages, widest) column per NODE_FIELDS entry: row m holds the next
+    count[m] entries of ``nodes[name]``, stage after stage, then leaf placeholders."""
+    filled = np.arange(int(count.max(initial=1))) < count[:, None]
+    columns = {}
+    for name, (dtype, pad) in NODE_FIELDS.items():
+        column = columns[name] = np.full(filled.shape, pad, dtype=dtype)
+        column[filled] = nodes[name]
+    return columns
 
 
 @dataclass(frozen=True)
-class PackedStages:
-    """The stages rearranged for batch prediction.
+class _Stages(Sequence):
+    """``BoostedModel.stages``: Stage m, made on access, views row m of the columns."""
 
-    Flagship ensembles reuse few tree structures (a structure is a tree's
-    feature, threshold, missing_right, left and right arrays: 43 in 1,200
-    stages, 320 in 50,000), so prediction routes each distinct structure
-    once per batch and then only gathers leaf values per stage. ``scaled``
-    row m is ``(learn_rate*gamma_m) * value_m``, the same product per
-    element that the stage adds, zero-padded to the widest tree.
-    """
+    model: BoostedModel
 
-    structure: np.ndarray  # structure id of each stage
-    last_use: np.ndarray  # True at the last stage of each structure
-    scaled: np.ndarray  # (n_stages, widest tree) leaf tables
-    leaf_dtype: np.dtype  # smallest unsigned dtype holding every node index
+    def __len__(self) -> int:
+        return self.model.n_stages
 
-    @classmethod
-    def build(cls, model: BoostedModel) -> PackedStages:
-        n = model.n_stages
-        width = max((s.tree.node_count for s in model.stages), default=1)
-        structure = np.empty(n, dtype=np.intp)
-        scaled = np.zeros((n, width))
-        ids: dict[bytes, int] = {}
-        last: dict[int, int] = {}
-        lr = model.config.learn_rate
-        for m, stage in enumerate(model.stages):
-            t = stage.tree
-            key = b"".join(a.tobytes() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right))
-            sid = structure[m] = ids.setdefault(key, len(ids))
-            last[sid] = m
-            scaled[m, : t.node_count] = (lr * stage.gamma) * t.value
-        last_use = np.zeros(n, dtype=bool)
-        last_use[list(last.values())] = True
-        return cls(structure, last_use, scaled, np.min_scalar_type(width - 1))
+    def __getitem__(self, m):
+        m, model = range(len(self))[m], self.model
+        if isinstance(m, range):
+            return tuple(map(self.__getitem__, m))
+        tree = RegressionTree(*(model.nodes[k][m, : model.node_count[m]] for k in NODE_FIELDS), model.n_features)
+        return Stage(tree, float(model.gamma[m]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +201,6 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     """
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
-    feature_names = tuple(data.feature_names)
     if X.shape[0] == 0:
         raise ValueError("empty learn sample")
     usable = np.isfinite(y)
@@ -171,9 +208,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
         raise ValueError("no usable response values")
     if int(usable.sum()) < 2:
         raise ValueError("empty learn sample")
-    if not usable.all():
-        X = X[usable]
-        y = y[usable]
+    X, y = X[usable], y[usable]
     n = len(y)
 
     f0 = float(y.sum()) / n
@@ -185,33 +220,17 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
 
     stages = []
     degenerate = 0
-    scale_base = config.learn_rate
     for _ in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
         tree = fitter.fit(residual, rows, limits)
         outputs = tree.predict_batch(X)
         gamma, flat = line_search_gamma(residual[rows], outputs[rows])
-        if flat:
-            degenerate += 1
-        current += (scale_base * gamma) * outputs
+        degenerate += flat
+        current += (config.learn_rate * gamma) * outputs
         stages.append(Stage(tree, gamma))
 
-    return BoostedModel(
-        f0=f0,
-        stages=tuple(stages),
-        config=config,
-        feature_names=feature_names,
-        degenerate_stages=degenerate,
-    )
-
-
-def _stage_count(model: BoostedModel, n_stages) -> int:
-    if n_stages is None:
-        return model.n_stages
-    if not 0 <= n_stages <= model.n_stages:
-        raise ValueError(f"n_stages must be in [0, {model.n_stages}]")
-    return int(n_stages)
+    return BoostedModel.from_stages(f0, stages, config, data.feature_names, degenerate)
 
 
 def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
@@ -222,18 +241,18 @@ def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
     Each distinct structure is routed once: its leaf ids are kept, in the
     smallest dtype that holds them, only while a later stage still uses it.
     """
-    plan = model.packed
-    stages = model.stages
+    scaled, stages = model.scaled, model.stages
+    leaf_dtype = np.min_scalar_type(scaled.shape[1] - 1)
     cached: dict[int, np.ndarray] = {}
     out = np.full(X.shape[0], model.f0)
     yield 0, out
-    for m, (sid, last) in enumerate(zip(plan.structure[:n_stages].tolist(), plan.last_use.tolist())):
+    for m, (sid, last) in enumerate(zip(model.structure[:n_stages].tolist(), model.last_use.tolist())):
         leaves = cached.pop(sid, None) if last else cached.get(sid)
         if leaves is None:
             leaves = stages[m].tree.leaf_assignments(X)
             if not last:
-                cached[sid] = leaves.astype(plan.leaf_dtype)
-        out += plan.scaled[m].take(leaves)
+                cached[sid] = leaves.astype(leaf_dtype)
+        out += scaled[m].take(leaves)
         yield m + 1, out
 
 
@@ -251,8 +270,10 @@ def predict_batch(model: BoostedModel, X, n_stages: int | None = None) -> np.nda
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
-    k = _stage_count(model, n_stages)
-    return deque(_running_sums(model, X, k), maxlen=1).pop()[1]
+    k = model.n_stages if n_stages is None else n_stages
+    if not 0 <= k <= model.n_stages:
+        raise ValueError(f"n_stages must be in [0, {model.n_stages}]")
+    return deque(_running_sums(model, X, int(k)), maxlen=1).pop()[1]
 
 
 def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | None = None) -> StagedCurve:
@@ -268,9 +289,7 @@ def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | 
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
     usable = np.isfinite(y)
-    if not usable.all():
-        X = X[usable]
-        y = y[usable]
+    X, y = X[usable], y[usable]
     n = len(y)
     if n == 0:
         raise ValueError("empty learn sample")

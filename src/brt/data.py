@@ -171,10 +171,7 @@ def _source_name(source) -> str:
 def _read_rows(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(row number, cells)] of the rows below it); blank
     rows are skipped and not counted, and the header is row 1."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]

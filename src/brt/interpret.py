@@ -116,25 +116,13 @@ def _resolve_grid(X: np.ndarray, feature: int, grid_spec) -> np.ndarray:
     col = col[np.isfinite(col)]
     if col.size == 0:
         raise ValueError("cannot grid a fully missing feature")
-    if grid_spec is None:
-        return np.unique(col)
+    if grid_spec is None:  # np.unique(col) without its first-call memory: sort, keep each first of equals
+        col = np.sort(col)
+        return col[np.concatenate(([True], col[1:] != col[:-1]))]
     g = int(grid_spec)
     if g < 2:
         raise ValueError("grid size must be at least 2")
     return np.linspace(float(col.min()), float(col.max()), g)
-
-
-def _structures(model: BoostedModel) -> list[tuple[RegressionTree, np.ndarray]]:
-    """Each distinct tree structure, in order of first use, with its leaf
-    table: the scaled values of its stages' leaves summed in stage order."""
-    plan = model.packed
-    first: dict[int, int] = {}  # structure id (0, 1, ... by first use) -> that first stage
-    for m, sid in enumerate(plan.structure.tolist()):
-        first.setdefault(sid, m)
-    tables = np.zeros((len(first), plan.scaled.shape[1]))
-    np.add.at(tables, plan.structure, plan.scaled)
-    trees = [model.stages[m].tree for m in first.values()]
-    return [(t, tables[sid, : t.node_count][t.feature < 0]) for sid, t in enumerate(trees)]
 
 
 def _passes(tree: RegressionTree, V: np.ndarray, cols) -> np.ndarray:
@@ -161,7 +149,7 @@ def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], poi
     row of `points`, by path factorisation (see the module docstring)."""
     rest = [f for f in range(X.shape[1]) if f not in features]
     out = np.full(points.shape[0], model.f0)
-    for tree, table in _structures(model):
+    for tree, table in model.structure_tables:
         reach = np.where(_passes(tree, X[:, rest], rest).all(axis=1), 1.0, 0.0).sum(axis=1) / X.shape[0]
         out += np.where(_passes(tree, points, features).all(axis=1), (table * reach)[:, None], 0.0).sum(axis=0)
     return out
@@ -216,7 +204,7 @@ def _interaction_scores(model: BoostedModel, data, denominator: str) -> np.ndarr
     den = _interaction_denominator(model, X, data, denominator)
     n, d = X.shape
     delta = np.zeros((d, d, n))  # the diagonal is never read
-    for tree, table in _structures(model):
+    for tree, table in model.structure_tables:
         used = sorted(set(tree.feature.tolist()) - {-1})
         if len(used) < 2:
             continue

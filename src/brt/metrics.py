@@ -80,11 +80,11 @@ def fit_report(actual, predicted, roc_threshold="median") -> FitReport:
         raise ValueError("actual and predicted must be equal-length nonempty vectors")
     n = len(a)
     err = a - p
-    mse = float((err * err).sum()) / n
+    sse = float((err * err).sum())
+    mse = sse / n
     mad = float(np.abs(err).sum()) / n
     mean = float(a.sum()) / n
     sst = float(((a - mean) ** 2).sum())
-    sse = float((err * err).sum())
     r2 = 1.0 - sse / sst if sst > 0 else float("nan")
     auc = roc_auc(a, p, resolve_threshold(a, roc_threshold))
     return FitReport(mse=mse, mad=mad, r_squared=r2, roc_auc=auc, n=n)

@@ -16,15 +16,6 @@ sides during the search and the more favourable side is frozen as the
 split's ``default_direction``; the row is routed that way for the rest of
 training and at prediction time. Rows count toward leaf-occupancy minima on
 whichever side they are routed.
-
-``TreeFitter`` serves the boosting loop, which fits thousands of trees to
-one feature matrix. It caches what a search needs of a row set alone (the
-rows in each feature's value order, which cuts are allowed, the NaN and row
-counts of each cut), so that a row set met again costs only the work on
-the new targets. The cache holds at most ``SEARCH_CACHE_BYTES``, least
-recently used entries going first. Cached parts are integers and masks;
-the float work on the targets is the same on a hit and a miss, so the
-trees are bit-identical with and without the cache.
 """
 
 from __future__ import annotations
@@ -72,6 +63,20 @@ class SplitCandidate:
     default_direction: str  # "left" or "right"
 
 
+# RegressionTree's node arrays in constructor order, each with its dtype and
+# the placeholder a leaf holds there (a leaf's value aside).
+NODE_FIELDS = {
+    "feature": (np.int64, -1),
+    "threshold": (np.float64, 0.0),
+    "missing_right": (np.bool_, False),
+    "left": (np.int64, -1),
+    "right": (np.int64, -1),
+    "value": (np.float64, 0.0),
+    "improvement": (np.float64, 0.0),
+}
+_LEAF = {name: pad for name, (_, pad) in NODE_FIELDS.items()}
+
+
 class RegressionTree:
     """Fitted tree in flat-array form.
 
@@ -82,25 +87,12 @@ class RegressionTree:
     that reached node i; predictions read it at leaves only.
     """
 
-    __slots__ = (
-        "feature",
-        "threshold",
-        "missing_right",
-        "left",
-        "right",
-        "value",
-        "improvement",
-        "n_features",
-    )
+    __slots__ = (*NODE_FIELDS, "n_features")
 
     def __init__(self, feature, threshold, missing_right, left, right, value, improvement, n_features):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.missing_right = np.asarray(missing_right, dtype=bool)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
-        self.improvement = np.asarray(improvement, dtype=np.float64)
+        arrays = (feature, threshold, missing_right, left, right, value, improvement)
+        for (name, (dtype, _)), array in zip(NODE_FIELDS.items(), arrays):
+            setattr(self, name, np.asarray(array, dtype=dtype))
         self.n_features = int(n_features)
 
     @property
@@ -296,51 +288,35 @@ class TreeFitter:
     def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits) -> RegressionTree:
         y = targets
         rows = np.asarray(rows, dtype=np.intp)
-        n_features = self.X.shape[1]
         if limits.min_leaf_obs != self._min_leaf:
             self._counts.clear()  # the min_leaf window; groups do not depend on it
             self._min_leaf = limits.min_leaf_obs
 
-        feature = [-1]
-        threshold = [0.0]
-        missing_right = [False]
-        left = [-1]
-        right = [-1]
-        improvement = [0.0]
-        total = float(np.add.reduce(y[rows]))
-        value = [total / rows.size]
+        nodes: list[dict] = []  # each node's NODE_FIELDS entries, in node order
+
+        def add_leaf(leaf_rows) -> float:
+            """Append the leaf of leaf_rows; return the sum of their targets."""
+            total = float(np.add.reduce(y[leaf_rows]))
+            nodes.append({**_LEAF, "value": total / leaf_rows.size})
+            return total
+
         heap: list[tuple[float, int, SplitCandidate, np.ndarray, np.ndarray]] = []
         # Cuts past a node's last finite value divide by zero; they are masked.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._search(y, 0, rows, total, heap)
-
-            while heap and len(feature) + 2 <= limits.max_nodes:
+            self._search(y, 0, rows, add_leaf(rows), heap)
+            while heap and len(nodes) + 2 <= limits.max_nodes:
                 _, nid, cand, lrows, rrows = heapq.heappop(heap)
-                feature[nid] = cand.feature
-                threshold[nid] = cand.threshold
-                missing_right[nid] = cand.default_direction == "right"
-                improvement[nid] = cand.improvement
-                # After this expansion the tree has len(feature)+2 nodes; only
+                nodes[nid].update(feature=cand.feature, threshold=cand.threshold, improvement=cand.improvement)
+                nodes[nid].update(missing_right=cand.default_direction == "right", left=len(nodes), right=len(nodes) + 1)
+                # After this expansion the tree has len(nodes)+2 nodes; only
                 # search the new leaves if one more expansion could still fit.
-                worth_searching = len(feature) + 4 <= limits.max_nodes
-                for side, rows_side in (("left", lrows), ("right", rrows)):
-                    cid = len(feature)
-                    feature.append(-1)
-                    threshold.append(0.0)
-                    missing_right.append(False)
-                    left.append(-1)
-                    right.append(-1)
-                    improvement.append(0.0)
-                    total = float(np.add.reduce(y[rows_side]))
-                    value.append(total / rows_side.size)
-                    if side == "left":
-                        left[nid] = cid
-                    else:
-                        right[nid] = cid
+                worth_searching = len(nodes) + 4 <= limits.max_nodes
+                for child_rows in (lrows, rrows):
+                    cid = len(nodes)
+                    total = add_leaf(child_rows)
                     if worth_searching:
-                        self._search(y, cid, rows_side, total, heap)
-
-        return RegressionTree(feature, threshold, missing_right, left, right, value, improvement, n_features)
+                        self._search(y, cid, child_rows, total, heap)
+        return RegressionTree(*([node[k] for node in nodes] for k in NODE_FIELDS), self.X.shape[1])
 
     def _group(self, rows: np.ndarray) -> tuple[_Group, _Counts]:
         """The cached _Group of this row set, built and stored on a miss,
@@ -497,5 +473,4 @@ def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTr
         raise ValueError("targets must match samples in length")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    fitter = TreeFitter(X)
-    return fitter.fit(y, np.arange(X.shape[0]), limits)
+    return TreeFitter(X).fit(y, np.arange(X.shape[0]), limits)

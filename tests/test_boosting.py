@@ -13,7 +13,7 @@ from brt.boosting import (
     staged_metric,
 )
 from brt.data import Dataset
-from brt.model_io import save_model
+from brt.model_io import load_model, save_model
 from brt import tree as tree_module
 from brt.tree import RegressionTree, TreeFitter, TreeLimits
 
@@ -211,6 +211,27 @@ def test_saved_model_bytes_match_golden_digest(make_data, config, digest):
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "make_data, config", [m[:2] for m in GOLDEN_MODELS], ids=["flagship-seed1", "flagship-seed2", "nan-13-node"]
+)
+def test_loaded_columns_equal_fitted_columns(make_data, config):
+    """fit_ensemble pads Stages into columns and load_model builds them from
+    the text; both must give the same arrays, and saving again the same bytes."""
+    fitted = fit_ensemble(make_data(), config)
+    buf = io.StringIO()
+    save_model(fitted, buf)
+    loaded = load_model(io.StringIO(buf.getvalue()))
+    pairs = [(fitted.gamma, loaded.gamma), (fitted.node_count, loaded.node_count)]
+    pairs += [(fitted.nodes[k], loaded.nodes[k]) for k in tree_module.NODE_FIELDS]
+    for want, got in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(loaded.structure, fitted.structure)
+    again = io.StringIO()
+    save_model(loaded, again)
+    assert again.getvalue() == buf.getvalue()
+
+
 def _assert_same_tree(a, b):
     for name in ("feature", "threshold", "missing_right", "left", "right", "value", "improvement"):
         got, want = getattr(a, name), getattr(b, name)
@@ -285,7 +306,7 @@ class TestPredict:
         from brt.boosting import BoostedModel, Stage
 
         stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [4.0], [0.0], 1)
-        model = BoostedModel(
+        model = BoostedModel.from_stages(
             f0=1.0,
             stages=(Stage(stump, 1.0),),
             config=BoostConfig(n_trees=1, learn_rate=0.5, min_leaf_obs=1),
@@ -410,7 +431,7 @@ class TestPackedPrediction:
             _tree(*a, [0.0, 0.3, 0.9]),
             _tree(*leaf, [-0.2]),
         ]
-        model = BoostedModel(
+        model = BoostedModel.from_stages(
             f0=0.25,
             stages=tuple(Stage(t, g) for t, g in zip(trees, (1.0, 0.9, 1.1, 1.0 + 2**-40, 0.3, 2.0, 1.0))),
             config=BoostConfig(n_trees=len(trees), learn_rate=0.37),

@@ -143,6 +143,19 @@ class TestReport:
         assert code == 1
         assert f"line {lineno}" in err and "Traceback" not in err
 
+    def test_unreachable_nodes_exit_1_naming_line_without_traceback(self, tmp_path, capsys, trained):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        stump = {"gamma": 1.0, "feature": [-1, -1, -1], "threshold": [0.0] * 3, "missing_right": [False] * 3,
+                 "left": [-1] * 3, "right": [-1] * 3, "value": [0.0, 50.0, 50.0], "improvement": [0.0] * 3}
+        lines[2] = json.dumps(stump)
+        bad = tmp_path / "bad.brtm"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
+        assert code == 1
+        assert "line 3: node 1 is not the child of exactly one split" in err and "Traceback" not in err
+        assert not (tmp_path / "bad_out").exists()
+
     @pytest.mark.parametrize("key, value", [("seed", "abc"), ("max_nodes", 3.5), ("n_trees", True)])
     def test_config_value_of_wrong_type_exits_1_naming_field(self, tmp_path, capsys, trained, key, value):
         out, table = trained

@@ -25,7 +25,8 @@ from oracles import naive_flat_leaf, naive_interaction, naive_pd_1d, naive_pd_2d
 def make_manual_model(trees_gammas, n_features, lr=1.0, f0=0.0):
     names = tuple(f"x{i}" for i in range(n_features))
     cfg = BoostConfig(n_trees=len(trees_gammas), learn_rate=lr, min_leaf_obs=1)
-    return BoostedModel(f0=f0, stages=tuple(Stage(t, g) for t, g in trees_gammas), config=cfg, feature_names=names)
+    stages = tuple(Stage(t, g) for t, g in trees_gammas)
+    return BoostedModel.from_stages(f0=f0, stages=stages, config=cfg, feature_names=names)
 
 
 def split_tree(feature, threshold, left_val, right_val, n_features, improvement=1.0):
@@ -39,6 +40,29 @@ def split_tree(feature, threshold, left_val, right_val, n_features, improvement=
         improvement=[improvement, 0.0, 0.0],
         n_features=n_features,
     )
+
+
+# Values for default grids: repeats, both signed zeros, subnormals, and cells the grid drops.
+GRID_CELLS = (0.0, -0.0, 1.5, -2.25, 1e-310, -1e-310, 7.0, float("nan"), float("inf"), float("-inf"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(GRID_CELLS), st.floats(width=16)), min_size=1, max_size=40))
+def test_default_grid_is_bit_equal_to_np_unique(cells):
+    col = np.array(cells)
+    finite = col[np.isfinite(col)]
+    if finite.size == 0:
+        with pytest.raises(ValueError, match="fully missing"):
+            interpret._resolve_grid(col[:, None], 0, None)
+        return
+    got, want = interpret._resolve_grid(col[:, None], 0, None), np.unique(finite)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_default_grid_keeps_the_signed_zero_np_unique_keeps():
+    for cells in ([0.0, -0.0], [-0.0, 0.0], [0.0, 1.0, -0.0, 0.0, -0.0]):
+        col = np.array(cells)
+        assert interpret._resolve_grid(col[:, None], 0, None).tobytes() == np.unique(col).tobytes()
 
 
 class TestRelativeInfluence:

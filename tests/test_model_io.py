@@ -302,3 +302,84 @@ def test_load_model_mutations_raise_parse_error_or_predict(small_saved, data):
         return
     assert not _has_non_finite(value), f"loaded a document holding {value!r} at {field}[{key!r}]"
     predict_batch(model, X)
+
+
+def _doc(model, stage_objs):
+    """model's version and header lines over the given stage objects."""
+    lines = roundtrip(model)[1].splitlines()[:2]
+    header = json.loads(lines[1])
+    header["n_stages"] = len(stage_objs)
+    return io.StringIO("\n".join([lines[0], json.dumps(header)] + [json.dumps(o) for o in stage_objs]) + "\n")
+
+
+def _split_stage(**changes):
+    """A 3-node stage line splitting on feature 0, with ``changes`` applied to it."""
+    stage = {
+        "gamma": 1.0,
+        "feature": [0, -1, -1],
+        "threshold": [0.5, 0.0, 0.0],
+        "missing_right": [False, False, False],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "value": [0.0, -1.0, 1.0],
+        "improvement": [2.0, 0.0, 0.0],
+    }
+    for key, change in changes.items():
+        stage[key] = change(stage[key])
+    return stage
+
+
+# One fault per stage line, and the message it must raise.
+FAULTS = {
+    "unknown feature": (dict(feature=lambda a: [7, *a[1:]]), "node 0 splits on unknown feature 7"),
+    "bad children": (dict(left=lambda a: [0, *a[1:]]), "node 0 has invalid children"),
+    "mistyped entry": (dict(threshold=lambda a: ["0.5", *a[1:]]), "field 'threshold' must be a list of"),
+    "non-finite entry": (dict(value=lambda a: [*a[:-1], INF]), "field 'value' must hold finite numbers"),
+    "unreachable node": (dict(feature=lambda a: [-1, *a[1:]]), "node 1 is not the child of exactly one split"),
+}
+
+
+@pytest.mark.parametrize("late", FAULTS)
+@pytest.mark.parametrize("early", FAULTS)
+def test_the_first_bad_line_is_named(fitted, early, late):
+    model, _ = fitted
+    stages = [_split_stage() for _ in range(5)]  # lines 3 to 7
+    stages[1] = _split_stage(**FAULTS[early][0])
+    stages[3] = _split_stage(**FAULTS[late][0])
+    with pytest.raises(ModelParseError, match=rf"at line 4: {FAULTS[early][1]}"):
+        load_model(_doc(model, stages))
+    stages[1] = _split_stage()
+    with pytest.raises(ModelParseError, match=rf"at line 6: {FAULTS[late][1]}"):
+        load_model(_doc(model, stages))
+
+
+def test_the_first_bad_line_is_named_among_many_stages(fitted):
+    model, _ = fitted
+    stages = [_split_stage() for _ in range(100)]  # lines 3 to 102, read in several blocks
+    stages[57] = _split_stage(**FAULTS["mistyped entry"][0])
+    stages[77] = _split_stage(**FAULTS["unknown feature"][0])
+    with pytest.raises(ModelParseError, match=rf"at line 60: {FAULTS['mistyped entry'][1]}"):
+        load_model(_doc(model, stages))
+    stages[57] = _split_stage()
+    with pytest.raises(ModelParseError, match=rf"at line 80: {FAULTS['unknown feature'][1]}"):
+        load_model(_doc(model, stages))
+    stages[77] = _split_stage()
+    assert load_model(_doc(model, stages)).n_stages == 100
+
+
+@pytest.mark.parametrize(
+    "feature, left, right, node",
+    [
+        ([-1, -1, -1], [-1, -1, -1], [-1, -1, -1], 1),  # a stump with two leaves no split reaches
+        ([0, -1, -1], [1, -1, -1], [1, -1, -1], 1),  # both children of the root are node 1
+        ([0, 1, 1, -1, -1], [1, 3, 3, -1, -1], [2, 4, 4, -1, -1], 3),  # nodes 1 and 2 share children
+        ([0, -1, -1, -1, -1], [1, -1, -1, -1, -1], [2, -1, -1, -1, -1], 3),  # two trailing unreachable leaves
+    ],
+)
+def test_unreachable_or_shared_node_rejected(fitted, feature, left, right, node):
+    model, _ = fitted
+    n = len(feature)
+    stage = {"gamma": 1.0, "feature": feature, "threshold": [0.5] * n, "missing_right": [False] * n,
+             "left": left, "right": right, "value": [50.0] * n, "improvement": [1.0] * n}
+    with pytest.raises(ModelParseError, match=rf"at line 4: node {node} is not the child of exactly one split"):
+        load_model(_doc(model, [_split_stage(), stage, _split_stage()]))
