@@ -82,15 +82,14 @@ class BoostedModel:
     gamma: np.ndarray
     node_count: np.ndarray
     nodes: dict[str, np.ndarray]
-    degenerate_stages: int = 0  # stages whose tree output was identically zero
 
     @classmethod
-    def from_stages(cls, f0, stages, config, feature_names, degenerate_stages=0) -> BoostedModel:
+    def from_stages(cls, f0, stages, config, feature_names) -> BoostedModel:
         """The model of a sequence of Stages, their trees padded into columns."""
         count = np.array([s.tree.node_count for s in stages], dtype=np.intp)
         nodes = {k: np.concatenate([getattr(s.tree, k) for s in stages] or [[]]) for k in NODE_FIELDS}
         gamma = np.array([s.gamma for s in stages], dtype=np.float64)
-        return cls(f0, config, tuple(feature_names), gamma, count, node_columns(count, nodes), degenerate_stages)
+        return cls(f0, config, tuple(feature_names), gamma, count, node_columns(count, nodes))
 
     @property
     def n_features(self) -> int:
@@ -103,6 +102,13 @@ class BoostedModel:
     @property
     def stages(self) -> Sequence[Stage]:
         return _Stages(self)
+
+    @cached_property
+    def degenerate_stages(self) -> int:
+        """Stages whose tree output is identically zero: every leaf holds 0.0
+        (the padding past a stage's node count is such a leaf)."""
+        n = self.nodes
+        return int(np.count_nonzero(((n["feature"] >= 0) | (n["value"] == 0.0)).all(axis=1)))
 
     @cached_property
     def structure(self) -> np.ndarray:
@@ -219,18 +225,16 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     n_sub = max(2, math.floor(config.subsample_fraction * n))
 
     stages = []
-    degenerate = 0
     for _ in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
         tree = fitter.fit(residual, rows, limits)
         outputs = tree.predict_batch(X)
-        gamma, flat = line_search_gamma(residual[rows], outputs[rows])
-        degenerate += flat
+        gamma, _ = line_search_gamma(residual[rows], outputs[rows])
         current += (config.learn_rate * gamma) * outputs
         stages.append(Stage(tree, gamma))
 
-    return BoostedModel.from_stages(f0, stages, config, data.feature_names, degenerate)
+    return BoostedModel.from_stages(f0, stages, config, data.feature_names)
 
 
 def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):

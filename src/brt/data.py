@@ -131,9 +131,6 @@ class AnnualTable:
             if len(vals) != len(self.years):
                 raise ValueError(f"column {name!r} length does not match years")
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     def series(self, name: str) -> dict[int, float]:
         return {y: float(v) for y, v in zip(self.years, self.columns[name]) if math.isfinite(v)}
 
@@ -144,11 +141,6 @@ class SeriesTable:
 
     tables: dict[str, AnnualTable] = field(default_factory=dict)
     weights: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def require(self, name: str) -> AnnualTable:
-        if name not in self.tables:
-            raise ValueError(f"missing series: {name}")
-        return self.tables[name]
 
 
 def _parse_cell(raw: str, row: int, col: str) -> float:
@@ -465,18 +457,14 @@ def assemble_model_table(
         + ("" if rain_mean is not None else " [mean over supplied years]")
     )
 
-    prices_tbl = series.tables["msp_prices"]
     prod_tbl = series.tables["msp_production"]
-    crop_prices = {c: prices_tbl.series(c) for c in prices_tbl.columns}
     if msp_weight_year not in prod_tbl.years:
         raise ValueError(f"MSP weight year {fy_label(msp_weight_year)} not in msp_production")
     wrow = {c: prod_tbl.series(c).get(msp_weight_year, float("nan")) for c in prod_tbl.columns}
     if any(math.isnan(v) for v in wrow.values()):
         raise ValueError(f"msp_production has missing cells at {fy_label(msp_weight_year)}")
-    price_years = set.intersection(*(set(s) for s in crop_prices.values()))
-    if not price_years:
-        raise ValueError("msp_prices has no year covered by every crop")
-    msp_base = min(price_years)
+    crop_prices, price_years = _covered_years(series, "msp_prices", "crop")
+    msp_base = price_years[0]
     msp_index = weighted_index(crop_prices, wrow, msp_base)
     msp = yoy_change(msp_index)
     prov.append(
@@ -496,18 +484,14 @@ def assemble_model_table(
         fd[y] = 100.0 * deficit[y] / gdp[y]
     prov.append("FD: 100 * fiscal_deficit.value / gdp.value")
 
-    wages_tbl = series.tables["farm_wages"]
-    ops = sorted(wages_tbl.columns)
-    wage_series = {op: wages_tbl.series(op) for op in ops}
-    wage_years = set.intersection(*(set(s) for s in wage_series.values()))
-    wage_mean = {y: sum(wage_series[op][y] for op in ops) / len(ops) for y in sorted(wage_years)}
+    wage_series, wage_years = _covered_years(series, "farm_wages", "operation")
+    ops = sorted(wage_series)
+    wage_mean = {y: sum(wage_series[op][y] for op in ops) / len(ops) for y in wage_years}
     fwi = yoy_change(wage_mean)
     prov.append(f"FWI: yoy_change(mean of farm_wages[{', '.join(ops)}]) [unweighted operations mean]")
 
-    ai_tbl = series.tables["agri_input_prices"]
-    ai_prices = {c: ai_tbl.series(c) for c in ai_tbl.columns}
-    ai_years = set.intersection(*(set(s) for s in ai_prices.values()))
-    ai_base = min(ai_years)
+    ai_prices, ai_years = _covered_years(series, "agri_input_prices", "input")
+    ai_base = ai_years[0]
     agril = yoy_change(weighted_index(ai_prices, series.weights["agri_input"], ai_base))
     prov.append(f"AgrilInput: yoy_change(weighted_index(agri_input_prices, agri_input_weights, base={fy_label(ai_base)}))")
 
@@ -542,6 +526,18 @@ def assemble_model_table(
 
     dataset = Dataset(tuple(years), MODEL_PREDICTORS, X, y_vec)
     return dataset, "\n".join(prov) + "\n"
+
+
+def _covered_years(series: SeriesTable, name: str, item: str) -> tuple[dict[str, dict[int, float]], list[int]]:
+    """Each column of table ``name`` as a year -> value map, and the years,
+    ascending, that every column covers; a ValueError naming the table if
+    there are none (``item`` is what a column holds)."""
+    table = series.tables[name]
+    columns = {c: table.series(c) for c in table.columns}
+    years = sorted(set.intersection(*map(set, columns.values())))
+    if not years:
+        raise ValueError(f"{name} has no year covered by every {item}")
+    return columns, years
 
 
 def _longest_consecutive_run(years: list[int]) -> list[int]:

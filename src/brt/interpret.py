@@ -8,9 +8,10 @@ centered over their grid. It is computed by path factorisation (Friedman
 exactly when g passes l's path splits on S and the record passes the rest,
 so PD_S(g) = f0 + sum over structures and leaves l of T[l] * pass_l,S(g) *
 mean_r pass_l,not S(x_r), T being a structure's scaled leaf values summed
-in stage order. Passes use ``RegressionTree.leaf_assignments``'s tests, so
-NaN, +-inf and values on a threshold go where prediction sends them; this
-matches the brute-force loop to 1e-12 without a grid-by-records batch.
+in stage order. Passes use ``tree.goes_right``, the rule that prediction
+routes by, so NaN, +-inf and values on a threshold go where prediction sends
+them; this matches the brute-force loop to 1e-12 without a grid-by-records
+batch.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at
@@ -32,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .boosting import BoostedModel, predict_batch
-from .tree import RegressionTree, split_improvements
+from .tree import RegressionTree, goes_right, split_improvements
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _passes(tree: RegressionTree, V: np.ndarray, cols) -> np.ndarray:
         ok[lo] = ok[hi] = ok[i]  # children are numbered after their parent
         c = at.get(f)
         if c is not None:
-            right = ~(V[:, c] <= thr) if missing_right else V[:, c] > thr  # as leaf_assignments routes
+            right = goes_right(V[:, c], thr, missing_right)
             ok[lo, c] &= ~right
             ok[hi, c] &= right
     return ok[tree.feature < 0]

@@ -6,14 +6,21 @@ error is expanded next, so a small budget is spent where it pays. With a
 budget of 6 a tree reaches at most 5 nodes (two splits, three leaves);
 binary trees always have an odd node count.
 
-Split search scans midpoints between consecutive distinct finite values of
-each feature. Ties on improvement are broken toward the lowest feature
-index, then the lowest threshold, then (for missing-value routing) the left
-side, which makes fitting deterministic across runs and platforms.
+One rule, ``goes_right``, sends a value to a side of a split: a value above
+the threshold goes right, a value at or below it goes left, and a missing
+value goes to the side that ``missing_right`` names. Fitting partitions a
+node's rows with it, and prediction and the analytics route with it.
+
+Split search scans the cuts between consecutive distinct finite values of
+each feature; a cut's threshold is the midpoint of the two values, or the
+lower value when the midpoint does not lie below the upper one (adjacent
+floats, or a sum that overflows). Ties on improvement are broken toward the
+lowest feature index, then the lowest threshold, then missing values on the
+left, which makes fitting deterministic across runs and platforms.
 
 Missing values: a row whose split feature is unobserved is tried on both
 sides during the search and the more favourable side is frozen as the
-split's ``default_direction``; the row is routed that way for the rest of
+split's ``missing_right``; the row is routed that way for the rest of
 training and at prediction time. Rows count toward leaf-occupancy minima on
 whichever side they are routed.
 """
@@ -52,15 +59,12 @@ class TreeLimits:
             raise ValueError("min_leaf_obs must be at least 1")
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """One axis-aligned split: feature, threshold, SSE reduction, and the
-    side that receives rows whose feature value is missing."""
-
-    feature: int
-    threshold: float
-    improvement: float
-    default_direction: str  # "left" or "right"
+def goes_right(v: np.ndarray, threshold: float, missing_right: bool) -> np.ndarray:
+    """Which values v go to the right child of a split: those above the
+    threshold, and NaN when missing_right. Every comparison with NaN is false,
+    so ``>`` sends NaN left, and the negation of ``<=`` sends it right while
+    agreeing with ``>`` on every other value."""
+    return ~(v <= threshold) if missing_right else v > threshold
 
 
 # RegressionTree's node arrays in constructor order, each with its dtype and
@@ -104,21 +108,14 @@ class RegressionTree:
         return self.value[self.leaf_assignments(X)]
 
     def leaf_assignments(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index each row of X routes to; the one routing function,
-        shared by fitting and ensemble prediction.
-
-        Every comparison with NaN is false, so ``v > thr`` sends a missing
-        value left and ``~(v <= thr)`` sends it right while agreeing with
-        ``v > thr`` on every other value; ``missing_right`` picks which.
-        """
+        """Leaf index each row of X routes to, by ``goes_right`` at each split."""
         node = np.zeros(X.shape[0], dtype=np.intp)
         for i, f in enumerate(self.feature.tolist()):
             if f < 0:
                 continue
             at = np.flatnonzero(node == i)
-            v = X[at, f]
-            go_right = ~(v <= self.threshold[i]) if self.missing_right[i] else v > self.threshold[i]
-            node[at] = np.where(go_right, self.right[i], self.left[i])
+            right = goes_right(X[at, f], self.threshold[i], self.missing_right[i])
+            node[at] = np.where(right, self.right[i], self.left[i])
         return node
 
 
@@ -273,10 +270,7 @@ class TreeFitter:
         self.row_dtype = np.min_scalar_type(max(n - 1, 0))
         # Row ids per feature in ascending value order, NaNs last; stable so
         # equal values keep row order.
-        if d > 0 and n > 0:
-            self.orders = np.argsort(self.XT, axis=1, kind="stable").astype(self.row_dtype)
-        else:
-            self.orders = np.zeros((d, n), dtype=self.row_dtype)
+        self.orders = np.argsort(self.XT, axis=1, kind="stable").astype(self.row_dtype)
         self._offsets = (np.arange(d) * n)[:, None]  # start of each feature in XT.ravel()
         self._cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
         # Three quarters of the budget for groups, one for the shared counts.
@@ -286,6 +280,9 @@ class TreeFitter:
         self._min_leaf = None
 
     def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits) -> RegressionTree:
+        """Fit a tree to targets on the row ids ``rows``, which must be
+        ascending (``fit_ensemble`` and ``fit_tree`` pass them so): each
+        node's rows are then ascending too, and so are its targets' sums."""
         y = targets
         rows = np.asarray(rows, dtype=np.intp)
         if limits.min_leaf_obs != self._min_leaf:
@@ -300,14 +297,13 @@ class TreeFitter:
             nodes.append({**_LEAF, "value": total / leaf_rows.size})
             return total
 
-        heap: list[tuple[float, int, SplitCandidate, np.ndarray, np.ndarray]] = []
+        heap: list[tuple[float, int, dict, np.ndarray, np.ndarray]] = []
         # Cuts past a node's last finite value divide by zero; they are masked.
         with np.errstate(divide="ignore", invalid="ignore"):
             self._search(y, 0, rows, add_leaf(rows), heap)
             while heap and len(nodes) + 2 <= limits.max_nodes:
-                _, nid, cand, lrows, rrows = heapq.heappop(heap)
-                nodes[nid].update(feature=cand.feature, threshold=cand.threshold, improvement=cand.improvement)
-                nodes[nid].update(missing_right=cand.default_direction == "right", left=len(nodes), right=len(nodes) + 1)
+                _, nid, split, lrows, rrows = heapq.heappop(heap)
+                nodes[nid].update(split, left=len(nodes), right=len(nodes) + 1)
                 # After this expansion the tree has len(nodes)+2 nodes; only
                 # search the new leaves if one more expansion could still fit.
                 worth_searching = len(nodes) + 4 <= limits.max_nodes
@@ -354,10 +350,11 @@ class TreeFitter:
     def _search(self, y, nid, rows, total, heap) -> None:
         """Push the best split of node nid, whose rows sum to ``total``, onto heap.
 
-        A heap entry is (-improvement, node id, SplitCandidate, left row
-        ids, right row ids); both id arrays are sorted ascending so later
-        sums are order-canonical. Nodes with fewer than 2*min_leaf rows, or
-        no split that removes error, push nothing.
+        A heap entry is (-improvement, node id, the split's feature,
+        threshold, missing_right and improvement as node fields, left row
+        ids, right row ids); ``goes_right`` partitions the ascending ``rows``,
+        so both id arrays are ascending. Nodes with fewer than 2*min_leaf
+        rows, or no split that removes error, push nothing.
         """
         k = rows.size
         if self.XT.shape[0] == 0 or k < max(2, 2 * self._min_leaf):
@@ -404,38 +401,32 @@ class TreeFitter:
         f, p = divmod(flat, k - 1)
         n_miss = counts.n_miss[:, 0]
         if np.count_nonzero(close) > 1 or (n_miss[f] and abs(score_l[f, p] - score_r[f, p]) <= slack):
-            f, p, goes_left = self._resolve_exact(y, sel, n_miss, close, score_l, score_r, slack, best)
+            f, p, missing_right = self._resolve_exact(y, sel, n_miss, close, score_l, score_r, slack, best)
         else:
-            goes_left = bool(prefer_left[f, p])
+            missing_right = not prefer_left[f, p]
 
-        chosen = float((score_l if goes_left else score_r)[f, p])
-        gain = float(chosen - total * total / k)
-        cand = SplitCandidate(int(f), self._midpoint(sel, f, p), gain, "left" if goes_left else "right")
+        gain = float((score_r if missing_right else score_l)[f, p] - total * total / k)
+        threshold = self._threshold(sel, f, p)
+        split = {"feature": f, "threshold": threshold, "missing_right": missing_right, "improvement": gain}
+        right = goes_right(self.XT[f, rows], threshold, missing_right)
+        heapq.heappush(heap, (-gain, nid, split, rows[~right], rows[right]))
 
-        fin_count = int(k - n_miss[f])
-        ids = sel[f].astype(np.intp)
-        left_ids = ids[: p + 1]
-        right_ids = ids[p + 1 : fin_count]
-        if fin_count < k:
-            if goes_left:
-                left_ids = np.concatenate([left_ids, ids[fin_count:]])
-            else:
-                right_ids = ids[p + 1 :]
-        left_ids.sort()
-        right_ids.sort()
-        heapq.heappush(heap, (-cand.improvement, nid, cand, left_ids, right_ids))
-
-    def _midpoint(self, sel, f, p) -> float:
-        """Threshold of the cut after sorted position p of feature f."""
+    def _threshold(self, sel, f, p) -> float:
+        """Threshold of the cut after sorted position p of feature f: the
+        midpoint of the values on either side when it lies in [lower, upper),
+        else the lower value, so that goes_right splits where the cut was scored."""
         xf = self.XT[f]
-        return float((xf[sel[f, p]] + xf[sel[f, p + 1]]) / 2.0)
+        lo, hi = float(xf[sel[f, p]]), float(xf[sel[f, p + 1]])
+        mid = (lo + hi) / 2.0  # Python floats: an overflow gives inf without a warning
+        return mid if lo <= mid < hi else lo
 
     def _resolve_exact(self, y, sel, n_miss, close, score_l, score_r, slack, best):
-        """Order dust-level rival splits by exact rational score.
+        """Order dust-level rival splits by exact rational score; return the
+        first one's feature, cut position and missing_right.
 
         Every float64 is a dyadic rational, so Fraction sums are exact; the
-        candidate order is (score desc, feature asc, threshold asc, left
-        routing first), independent of accumulation order.
+        candidate order is (score desc, feature asc, threshold asc, missing
+        values left first), independent of accumulation order.
         """
         k = sel.shape[1]
         candidates = []
@@ -444,19 +435,17 @@ class TreeFitter:
             left = [Fraction(float(y[i])) for i in sel[f, : p + 1]]
             right = [Fraction(float(y[i])) for i in sel[f, p + 1 : fin_count]]
             missing = [Fraction(float(y[i])) for i in sel[f, fin_count:]]
-            thr = self._midpoint(sel, f, p)
-            for goes_left, float_score in ((True, score_l[f, p]), (False, score_r[f, p])):
+            thr = self._threshold(sel, f, p)
+            for missing_right, float_score in ((False, score_l[f, p]), (True, score_r[f, p])):
                 if not float_score >= best - slack:
                     continue
-                l = left + missing if goes_left else left
-                r = right if goes_left else right + missing
+                l, r = (left, right + missing) if missing_right else (left + missing, right)
                 sl = sum(l, Fraction(0))
                 sr = sum(r, Fraction(0))
                 exact = sl * sl / len(l) + sr * sr / len(r)
-                candidates.append((-exact, int(f), thr, not goes_left, int(p)))
-        candidates.sort(key=lambda c: c[:4])
-        _, f, _, not_left, p = candidates[0]
-        return f, p, not not_left
+                candidates.append((-exact, int(f), thr, missing_right, int(p)))
+        _, f, _, missing_right, p = min(candidates, key=lambda c: c[:4])
+        return f, p, missing_right
 
 
 def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTree:

@@ -273,6 +273,14 @@ class TestBuildData:
         assert f"{path}: row 3, column 'item': duplicate item 'diesel'" in err
         assert "Traceback" not in err
 
+    def test_no_year_covered_by_every_input_names_the_series(self, tmp_path, capsys):
+        write_toy_raw(tmp_path / "raw")
+        (tmp_path / "raw" / "agri_input_prices.csv").write_text("year,diesel,fertiliser\n2004,100,\n2005,,100\n")
+        code, _, err = run(["build-data", "--raw", str(tmp_path / "raw"), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert "agri_input_prices has no year covered by every input" in err
+        assert "Traceback" not in err
+
 
 def test_bundled_dataset_trains_quickly(tmp_path, capsys):
     code, stdout, _ = run(

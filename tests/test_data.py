@@ -62,6 +62,14 @@ class TestLoadModelTable:
         assert ds.feature_names == MODEL_PREDICTORS
         assert ds.years[0] == 1992 and ds.years[-1] == 2016
 
+    def test_bundled_file_is_the_generated_standin(self):
+        from brt.standin import bundled_path, make_standin
+
+        buf = io.StringIO()
+        write_model_table(make_standin(), buf)
+        with open(bundled_path(), "rb") as fh:
+            assert buf.getvalue().encode("utf-8") == fh.read()
+
     def test_missing_response_cell(self):
         csv = "year,FCPI,MSP\n2002,1.0,2.0\n2003,,2.5\n"
         with pytest.raises(ValueError, match="response missing at FY03"):

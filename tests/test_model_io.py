@@ -40,6 +40,16 @@ def test_roundtrip_predictions_bit_identical(fitted):
     assert loaded.config == model.config
 
 
+def test_degenerate_stages_survive_a_round_trip(fitted):
+    from brt.data import Dataset
+
+    constant = Dataset.from_arrays(np.arange(6.0)[:, None], np.full(6, 2.5))
+    model = fit_ensemble(constant, BoostConfig(n_trees=5, learn_rate=0.1, min_leaf_obs=1))
+    assert model.degenerate_stages == 5
+    assert roundtrip(model)[0].degenerate_stages == 5
+    assert fitted[0].degenerate_stages == roundtrip(fitted[0])[0].degenerate_stages == 0
+
+
 def test_save_to_path_and_load(tmp_path, fitted):
     model, _ = fitted
     path = tmp_path / "m.brtm"

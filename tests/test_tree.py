@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from brt.tree import (
     MIN_IMPROVEMENT_FRACTION,
     RegressionTree,
-    SplitCandidate,
     TreeLimits,
     fit_tree,
     predict_tree,
@@ -242,6 +242,24 @@ def test_all_missing_rows_route_to_one_leaf():
     assert tree.feature[0] == 1
     sample = [float("nan"), float("nan")]
     assert predict_tree(tree, sample) in (0.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # the midpoint of the adjacent floats a and b rounds onto b
+        ([0.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0), 3.0], [0.0, 0.0, 10.0, 10.0]),
+        # the midpoint of 1.5e308 and 1.7e308 overflows
+        ([0.0, 1e308, 1.5e308, 1.7e308], [0.0, 0.0, 0.0, 10.0]),
+    ],
+)
+def test_rows_are_predicted_from_the_leaf_they_were_fitted_in(x, y):
+    X = np.array(x)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = fit_tree(X, y, TreeLimits(3, 1))
+        assert tree.node_count == 3
+        assert tree.predict_batch(X).tolist() == y  # each leaf is pure, so its value is its rows' target
 
 
 def test_degenerate_features_are_skipped():
