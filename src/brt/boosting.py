@@ -27,6 +27,9 @@ import numpy as np
 from .rng import SplitMix64, sample_without_replacement
 from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits
 
+# The node fields that decide which leaf a row reaches.
+ROUTING = ("feature", "threshold", "missing_right", "left", "right")
+
 
 @dataclass(frozen=True)
 class BoostConfig:
@@ -113,9 +116,8 @@ class BoostedModel:
     @cached_property
     def structure(self) -> np.ndarray:
         """Structure id of each stage, numbered by first use: stages share one when
-        their node counts and feature, threshold, missing_right, left and right rows match."""
-        n = self.nodes
-        routing = [n["feature"], n["threshold"].view(np.int64), n["missing_right"], n["left"], n["right"]]
+        their node counts and ROUTING rows match, thresholds bit for bit."""
+        routing = [self.nodes[k].view(np.int64) if k == "threshold" else self.nodes[k] for k in ROUTING]
         keys = np.column_stack([self.node_count, *routing])
         ids: dict[bytes, int] = {}
         rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
@@ -129,14 +131,23 @@ class BoostedModel:
         return last
 
     @cached_property
-    def structure_tables(self) -> list[tuple[RegressionTree, np.ndarray]]:
-        """Each distinct tree structure, in order of first use, with its leaf
-        table: the scaled values of its stages' leaves summed in stage order."""
-        first = {sid: m for m, sid in reversed(list(enumerate(self.structure.tolist())))}  # id -> its first stage
-        tables = np.zeros((len(first), self.scaled.shape[1]))
+    def structure_tables(self) -> dict[str, np.ndarray]:
+        """Each distinct tree structure, in order of first use, as one row of
+        (n_structures, widest tree) columns: the ROUTING fields of its first
+        stage, padded with leaf placeholders; ``leaf``, true at its leaves; and
+        ``table``, the scaled values of its stages' leaves summed in stage
+        order, 0 off the leaves."""
+        first: dict[int, int] = {}  # id -> its first stage, in id order
+        for m, sid in enumerate(self.structure.tolist()):
+            first.setdefault(sid, m)
+        rows = list(first.values())
+        columns = {k: self.nodes[k][rows] for k in ROUTING}
+        width = self.scaled.shape[1]
+        columns["leaf"] = (columns["feature"] < 0) & (np.arange(width) < self.node_count[rows][:, None])
+        tables = np.zeros((len(rows), width))
         np.add.at(tables, self.structure, self.scaled)
-        trees = [self.stages[first[sid]].tree for sid in range(len(first))]
-        return [(t, tables[sid, : t.node_count][t.feature < 0]) for sid, t in enumerate(trees)]
+        columns["table"] = np.where(columns["leaf"], tables, 0.0)
+        return columns
 
     @cached_property
     def scaled(self) -> np.ndarray:

@@ -16,7 +16,9 @@ import numpy as np
 from . import svg
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
 from .data import Dataset, fy_label, load_model_table, load_raw_directory, assemble_model_table, write_model_table
-from .interpret import interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
+from .interpret import (
+    MAX_GRID_POINTS, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
+)
 from .metrics import fit_report
 from .model_io import load_model, save_model
 
@@ -269,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feature", default=None, help="feature name")
     p.add_argument("--feature2", default=None, help="second feature (makes a surface)")
     p.add_argument("--all", action="store_true", help="one profile per feature")
-    p.add_argument("--grid", type=int, default=None, help="linear grid size (default: observed values)")
+    grid_help = f"linear grid size (default: observed values); at most {MAX_GRID_POINTS} points per profile or surface"
+    p.add_argument("--grid", type=int, default=None, help=grid_help)
     p.set_defaults(func=cmd_pdp)
 
     p = sub.add_parser("build-data", help="assemble the model table from raw series CSVs")

@@ -32,8 +32,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .boosting import BoostedModel, predict_batch
-from .tree import RegressionTree, goes_right, split_improvements
+from .boosting import ROUTING, BoostedModel, predict_batch
+from .tree import goes_right, split_improvements
+
+# Cells of temporaries that one block of structures may hold at once, a bool
+# being one cell and a float eight: 128 KiB, small enough to keep the commands'
+# peak memory about flat, large enough to amortise each numpy step.
+BLOCK_CELLS = 1 << 17
+# The most points one profile or surface may have (a 1024 x 1024 surface), checked
+# before any grid is made, since a surface allocates grid-squared points.
+MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -123,36 +131,70 @@ def _resolve_grid(X: np.ndarray, feature: int, grid_spec) -> np.ndarray:
     g = int(grid_spec)
     if g < 2:
         raise ValueError("grid size must be at least 2")
+    _check_points(g)
     return np.linspace(float(col.min()), float(col.max()), g)
 
 
-def _passes(tree: RegressionTree, V: np.ndarray, cols) -> np.ndarray:
-    """P[leaf, c, row]: does V[row, c], as a value of feature cols[c], pass
-    every split on that feature along the path to the leaf? Leaves are in
-    node order; splits on features outside `cols` are not checked."""
-    at = {f: c for c, f in enumerate(cols)}
-    ok = np.ones((tree.node_count, len(at), V.shape[0]), dtype=bool)
-    nodes = zip(*(a.tolist() for a in (tree.feature, tree.threshold, tree.missing_right, tree.left, tree.right)))
-    for i, (f, thr, missing_right, lo, hi) in enumerate(nodes):
-        if f < 0:
-            continue
-        ok[lo] = ok[hi] = ok[i]  # children are numbered after their parent
-        c = at.get(f)
-        if c is not None:
-            right = goes_right(V[:, c], thr, missing_right)
-            ok[lo, c] &= ~right
-            ok[hi, c] &= right
-    return ok[tree.feature < 0]
+def _check_points(count: int) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"a grid of {count} points is over the cap of {MAX_GRID_POINTS}; give a smaller --grid")
+
+
+def _blocks(ids: np.ndarray, cells: int):
+    """Consecutive runs of the structure ids `ids`, each as many as fit in
+    BLOCK_CELLS when one structure's temporaries take `cells` cells."""
+    size = max(1, BLOCK_CELLS // max(cells, 1))
+    return [ids[a : a + size] for a in range(0, len(ids), size)]
+
+
+def _pass_table(columns: dict, V: np.ndarray, cols, tests: np.ndarray) -> np.ndarray:
+    """ok[s, i, row]: does V's row pass every split along the path to node i of
+    structure s that tests it? Column c of V holds values of feature cols[c],
+    and a split on that feature tests the rows where tests[c] is true; every
+    other row, and every split on a feature outside `cols`, lets it through.
+    `columns` holds structure_tables rows. One numpy step per node position
+    serves every structure, since children are numbered after their parent."""
+    feature, threshold, missing_right, left, right = (columns[k] for k in ROUTING)
+    at = np.full(feature.shape, -1)  # the column of V holding each split's feature, -1 for none
+    for c, f in enumerate(cols):
+        at[feature == f] = c
+    values = np.concatenate([V.T, np.zeros((1, V.shape[0]))])  # row -1 stands in for the other features
+    skips = np.concatenate([~tests, np.ones((1, V.shape[0]), dtype=bool)])
+    ok = np.ones((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=bool)  # a leaf's children: -1, a spare
+    every = np.arange(feature.shape[0])
+    for i in range(feature.shape[1]):
+        v, t, skip = values[at[:, i]], threshold[:, i, None], skips[at[:, i]]
+        up = np.where(missing_right[:, i, None], goes_right(v, t, True), goes_right(v, t, False))
+        parent = ok[:, i]
+        ok[every, left[:, i]] = parent & (skip | ~up)
+        ok[every, right[:, i]] = parent & (skip | up)
+    return ok[:, :-1]
 
 
 def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
     """Mean prediction over all rows of X with `features` overridden by each
-    row of `points`, by path factorisation (see the module docstring)."""
+    row of `points`, by path factorisation (see the module docstring).
+
+    Blocks of structures share each numpy step. Within a structure leaves are
+    added in node order, and structures in order of first use, so the block
+    size changes no bit."""
     rest = [f for f in range(X.shape[1]) if f not in features]
+    structures = model.structure_tables
+    n, (count, width) = X.shape[0], structures["feature"].shape
     out = np.full(points.shape[0], model.f0)
-    for tree, table in model.structure_tables:
-        reach = np.where(_passes(tree, X[:, rest], rest).all(axis=1), 1.0, 0.0).sum(axis=1) / X.shape[0]
-        out += np.where(_passes(tree, points, features).all(axis=1), (table * reach)[:, None], 0.0).sum(axis=0)
+    # per structure: a bool pass table over width + 1 node positions, and two float rows
+    # (the split values gathered at a node position, and the sums)
+    for block in _blocks(np.arange(count), (width + 17) * max(n, len(points))):
+        columns = {k: v[block] for k, v in structures.items()}
+        reach = _pass_table(columns, X[:, rest], rest, np.ones((len(rest), n), dtype=bool))
+        weight = columns["table"] * (reach.sum(axis=2, dtype=np.float64) / n)  # the counts are exact
+        grid = _pass_table(columns, points, features, np.ones((len(features), len(points)), dtype=bool))
+        sums = np.zeros((len(block), len(points)))
+        # a sum that starts at +0.0 is the same without a failed leaf's +0.0 and with a non-leaf's
+        for i in range(width):
+            np.add(sums, weight[:, i, None], out=sums, where=grid[:, i])
+        for row in sums:
+            out += row
     return out
 
 
@@ -169,7 +211,10 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     """Centered mean-response grid for a feature pair."""
     _check_features(model, j, k)
     X = _usable_rows(model, data)
+    if grid_spec is not None:
+        _check_points(int(grid_spec) ** 2)
     grid_j, grid_k = (_resolve_grid(X, f, grid_spec) for f in (j, k))
+    _check_points(len(grid_j) * len(grid_k))
     points = np.column_stack([np.repeat(grid_j, len(grid_k)), np.tile(grid_k, len(grid_j))])
     raw = _pd_means(model, X, (j, k), points).reshape(len(grid_j), len(grid_k))
     values = raw - raw.sum() / raw.size
@@ -205,19 +250,31 @@ def _interaction_scores(model: BoostedModel, data, denominator: str) -> np.ndarr
     den = _interaction_denominator(model, X, data, denominator)
     n, d = X.shape
     delta = np.zeros((d, d, n))  # the diagonal is never read
-    for tree, table in model.structure_tables:
-        used = sorted(set(tree.feature.tolist()) - {-1})
-        if len(used) < 2:
-            continue
-        miss = np.where(_passes(tree, X[:, used], used), 0.0, 1.0)  # floats: int sums page in more numpy
-        fails = miss.sum(axis=1)  # per leaf and record: features whose path splits it fails
-        # share of records failing no feature but j (one), or but j and k (two)
-        one = np.where(fails[:, None, :] == miss, 1.0, 0.0).sum(axis=2) / n
-        two = np.where(fails[:, None, None, :] == miss[:, :, None, :] + miss[:, None, :, :], 1.0, 0.0).sum(axis=3) / n
-        hit = 1.0 - miss
-        U = ((table[:, None] * one)[:, :, None] * hit).sum(axis=0)
-        B = ((table[:, None, None] * two)[..., None] * (hit[:, :, None, :] * hit[:, None, :, :])).sum(axis=0)
-        delta[np.ix_(used, used)] += B - U[:, None, :] - U[None, :, :]
+    structures = model.structure_tables
+    used = [sorted(set(row) - {-1}) for row in structures["feature"].tolist()]
+    pairs = np.array([s for s, u in enumerate(used) if len(u) >= 2], dtype=np.intp)
+    # per structure and feature: a bool pass table over width + 1 node positions, and
+    # the split values gathered at a node position
+    for block in _blocks(pairs, (structures["feature"].shape[1] + 9) * n * d):
+        columns = {k: v[block] for k, v in structures.items()}
+        # the records once per feature, each copy tested by that feature's splits alone
+        cols = sorted(set().union(*(used[s] for s in block)))
+        V, tests = np.tile(X[:, cols], (len(cols), 1)), np.repeat(np.eye(len(cols), dtype=bool), n, axis=1)
+        passes = _pass_table(columns, V, cols, tests).reshape(len(block), -1, len(cols), n)
+        for b, s in enumerate(block.tolist()):
+            leaf = columns["leaf"][b]
+            table = columns["table"][b, leaf]
+            # miss[leaf, c, record] as floats: int sums page in more numpy
+            miss = np.where(passes[b, leaf][:, [cols.index(f) for f in used[s]]], 0.0, 1.0)
+            fails = miss.sum(axis=1)  # per leaf and record: features whose path splits it fails
+            # share of records failing no feature but j (one), or but j and k (two)
+            one = np.where(fails[:, None, :] == miss, 1.0, 0.0).sum(axis=2) / n
+            two = miss[:, :, None, :] + miss[:, None, :, :]
+            two = np.where(fails[:, None, None, :] == two, 1.0, 0.0).sum(axis=3) / n
+            hit = 1.0 - miss
+            U = ((table[:, None] * one)[:, :, None] * hit).sum(axis=0)
+            B = ((table[:, None, None] * two)[..., None] * (hit[:, :, None, :] * hit[:, None, :, :])).sum(axis=0)
+            delta[np.ix_(used[s], used[s])] += B - U[:, None, :] - U[None, :, :]
     centered = delta - delta.sum(axis=2, keepdims=True) / n
     return 100.0 * (centered * centered).sum(axis=2) / den
 

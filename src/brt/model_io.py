@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .boosting import BoostConfig, BoostedModel, node_columns
+from .data import _source_name
 from .tree import NODE_FIELDS
 
 FORMAT_VERSION = "brtm/1"
@@ -81,6 +82,8 @@ def _parse_json_line(line: str, lineno: int):
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise _error(lineno, e.msg) from None
+    except RecursionError:
+        raise _error(lineno, "nested too deeply") from None
     if not isinstance(obj, dict):
         raise _error(lineno, "expected an object")
     return obj
@@ -154,7 +157,17 @@ def _stage_columns(objs: list, lines, n_features: int) -> tuple:
 
 
 def load_model(source) -> BoostedModel:
+    """The model in a brtm/1 document at a path or in a text stream. A malformed
+    document raises ModelParseError naming the source and, where there is one,
+    the line."""
     text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    try:
+        return _parse_model(text)
+    except ModelParseError as e:
+        raise ModelParseError(f"{_source_name(source)}: {e}") from None
+
+
+def _parse_model(text: str) -> BoostedModel:
     lines = text.splitlines()
     if not lines:
         raise _error(1, "empty document")

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from brt import interpret
 from brt.cli import main
+from brt.interpret import MAX_GRID_POINTS
 from brt.data import Dataset, load_model_table, write_model_table
 from brt.standin import bundled_path
 
@@ -143,6 +145,17 @@ class TestReport:
         assert code == 1
         assert f"line {lineno}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lineno", [2, 3, 5])
+    def test_deeply_nested_line_exits_1_naming_file_and_line(self, tmp_path, capsys, trained, lineno):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        lines[lineno - 1] = "[" * 200_000
+        bad = tmp_path / "bad.brtm"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
+        assert code == 1
+        assert f"{bad}: model parse error at line {lineno}: nested too deeply" in err
+
     def test_unreachable_nodes_exit_1_naming_line_without_traceback(self, tmp_path, capsys, trained):
         out, table = trained
         lines = (out / "model.brtm").read_text().splitlines()
@@ -228,6 +241,36 @@ class TestPdp:
         )
         assert code == 0
         assert len((out / "pd_alpha.csv").read_text().splitlines()) == 10  # header + 9
+
+    @pytest.mark.parametrize(
+        "features, grid",
+        [
+            (["--feature", "alpha"], 10**9),
+            (["--all"], MAX_GRID_POINTS + 1),
+            (["--feature", "alpha", "--feature2", "beta"], 10**9),
+            (["--feature", "alpha", "--feature2", "beta"], 1025),  # 1025 squared points
+        ],
+    )
+    def test_grid_over_the_cap_exits_1_before_any_grid_is_made(self, monkeypatch, capsys, trained, features, grid):
+        out, table = trained
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        argv = ["pdp", str(out / "model.brtm"), str(table), "--out", str(out), *features, "--grid", str(grid)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "--grid" in err and f"over the cap of {MAX_GRID_POINTS}" in err
+        assert not list(out.glob("pd_*"))
+
+    def test_default_grid_surface_over_the_cap_exits_1(self, monkeypatch, capsys, trained):
+        out, table = trained
+        monkeypatch.setattr(interpret, "MAX_GRID_POINTS", 399)  # the toy table's 20 x 20 observed values
+        argv = ["pdp", str(out / "model.brtm"), str(table), "--out", str(out), "--feature", "alpha", "--feature2", "beta"]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "a grid of 400 points is over the cap of 399; give a smaller --grid" in err
 
 
 class TestBuildData:

@@ -320,8 +320,9 @@ def two_split_tree(f_root, f_child, n_features):
     )
 
 
-def split_features(tree) -> tuple[int, ...]:
-    return tuple(sorted(set(tree.feature[tree.feature >= 0].tolist())))
+def split_features(feature) -> tuple[int, ...]:
+    """The features a tree or structure splits on, from its feature array."""
+    return tuple(sorted(set(feature[feature >= 0].tolist())))
 
 
 class TestInteractionsPerStructure:
@@ -336,8 +337,8 @@ class TestInteractionsPerStructure:
             for max_nodes in (6, 13):
                 cfg = dict(n_trees=15, learn_rate=0.3, min_leaf_obs=1, subsample_fraction=0.8, seed=seed + 1)
                 model = fit_ensemble(ds, BoostConfig(max_nodes=max_nodes, **cfg))
-                split_counts |= {len(split_features(s.tree)) for s in model.stages}
-                shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree), 2)}
+                split_counts |= {len(split_features(s.tree.feature)) for s in model.stages}
+                shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree.feature), 2)}
                 lr = model.config.learn_rate
                 walk = []  # per stage: the flat tree as lists, and its scaled leaf values
                 for stage in model.stages:
@@ -371,7 +372,7 @@ class TestInteractionsPerStructure:
         original = RegressionTree.leaf_assignments
 
         def counting(tree, X):
-            calls.append((split_features(tree), X.shape[0]))
+            calls.append((split_features(tree.feature), X.shape[0]))
             return original(tree, X)
 
         monkeypatch.setattr(RegressionTree, "leaf_assignments", counting)
@@ -379,16 +380,17 @@ class TestInteractionsPerStructure:
 
     @pytest.fixture()
     def pass_tables(self, monkeypatch):
-        """(split features, table shape) of every pass table the kernel builds."""
+        """(split features of each structure in the block, features tested, table
+        shape) of every pass table the builder makes."""
         calls = []
-        original = interpret._passes
+        original = interpret._pass_table
 
-        def counting(tree, V, cols):
-            table = original(tree, V, cols)
-            calls.append((split_features(tree), table.shape))
+        def counting(columns, V, cols, tests):
+            table = original(columns, V, cols, tests)
+            calls.append(([split_features(row) for row in columns["feature"]], tuple(cols), table.shape))
             return table
 
-        monkeypatch.setattr(interpret, "_passes", counting)
+        monkeypatch.setattr(interpret, "_pass_table", counting)
         return calls
 
     def test_report_makes_no_n_squared_routing(self, routed, pass_tables):
@@ -399,7 +401,7 @@ class TestInteractionsPerStructure:
         )
         interaction_report(model, ds, denominator="model")
         assert routed and all(rows == n for _, rows in routed)  # the denominator's predict_batch only
-        assert pass_tables and all(shape[2] == n for _, shape in pass_tables)
+        assert pass_tables and all(shape[2] == len(cols) * n for _, cols, shape in pass_tables)  # n per feature
         routed.clear()
         interaction_report(model, ds, denominator="response")
         assert routed == []
@@ -422,7 +424,9 @@ class TestInteractionsPerStructure:
         for denominator in ("response", "model"):
             pass_tables.clear()
             rep = interaction_report(model, ds, denominator=denominator)
-            assert pass_tables == [((1, 2), (3, 2, n))]  # 3 leaves, features x1 and x2, n records
+            # one block holding the one structure that splits on two features: 5 node
+            # positions (the widest tree's), the n records once per feature
+            assert pass_tables == [([(1, 2)], (1, 2), (1, 5, 2 * n))]
             assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
             assert rep.pairwise[(1, 2)] > 0.0
 
@@ -436,6 +440,27 @@ class TestInteractionsPerStructure:
         assert pass_tables == []
         assert routed == [((f,), n) for f in (0, 1, 2, 2)]  # predict_batch: one routing per structure
 
+    def test_pd_builds_pass_tables_per_block_not_per_structure(self, pass_tables, monkeypatch):
+        ds = random_dataset(np.random.default_rng(3), 30, 4, missing=True)
+        cfg = BoostConfig(n_trees=60, learn_rate=0.3, max_nodes=9, min_leaf_obs=1, subsample_fraction=0.8, seed=2)
+        model = fit_ensemble(ds, cfg)
+        everything = [split_features(row) for row in model.structure_tables["feature"]]
+        assert len(everything) >= 40
+        want = partial_dependence_1d(model, 1, ds)
+        # one block: the records' side, then the grid side
+        assert [(block, cols) for block, cols, _ in pass_tables] == [(everything, (0, 2, 3)), (everything, (1,))]
+        for budget in (1, interpret.BLOCK_CELLS // 12):
+            pass_tables.clear()
+            monkeypatch.setattr(interpret, "BLOCK_CELLS", budget)
+            got = partial_dependence_1d(model, 1, ds)
+            assert got.values.tobytes() == want.values.tobytes()
+            sides = [[f for block, _, _ in pass_tables[side::2] for f in block] for side in (0, 1)]
+            assert sides == [everything, everything]  # each side covers every structure once, in order
+            if budget == 1:  # a block per structure
+                assert len(pass_tables) == 2 * len(everything)
+            else:
+                assert 2 < len(pass_tables) < len(everything)
+
 
 # Thresholds and cell values share one pool, so grid points and records fall
 # exactly on thresholds; records also hold NaN and +-inf.
@@ -443,11 +468,11 @@ POOL = (-1.0, 0.0, 0.5, 1.0, 2.5)
 CELLS = POOL + (0.25, 3.0, float("nan"), float("inf"), float("-inf"))
 
 
-def random_tree(draw, n_features: int) -> RegressionTree:
-    """A hand-made tree structure of up to 4 splits, children numbered after
-    their parent; internal nodes carry a value prediction must never read."""
+def random_tree(draw, n_features: int, splits: int | None = None) -> RegressionTree:
+    """A hand-made tree structure of `splits` (by default up to 4) splits, children
+    numbered after their parent; internal nodes carry a value prediction must never read."""
     feature, threshold, missing_right, left, right, value = [-1], [0.0], [False], [-1], [-1], [0.0]
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 4)) if splits is None else splits):
         i = draw(st.sampled_from([i for i, f in enumerate(feature) if f < 0]))
         feature[i] = draw(st.integers(0, n_features - 1))
         threshold[i] = draw(st.sampled_from(POOL))
@@ -460,6 +485,24 @@ def random_tree(draw, n_features: int) -> RegressionTree:
     return RegressionTree(feature, threshold, missing_right, left, right, value, [0.0] * len(feature), n_features)
 
 
+def random_model(draw, shapes, d: int, first=()) -> BoostedModel:
+    """Stages of the structures `first`, then up to 6 drawn from `shapes`, each
+    with new leaf values and gamma."""
+    stages = []
+    for t in [*first, *(draw(st.sampled_from(shapes)) for _ in range(draw(st.integers(1, 6))))]:
+        # structures repeat with new leaf values
+        values = [v if f >= 0 else draw(st.integers(-8, 8)) / 4.0 for v, f in zip(t.value, t.feature)]
+        tree = RegressionTree(t.feature, t.threshold, t.missing_right, t.left, t.right, values, t.improvement, d)
+        stages.append((tree, draw(st.sampled_from((1.0, 0.5, -1.5)))))
+    return make_manual_model(stages, d, lr=draw(st.sampled_from((1.0, 0.5))), f0=0.25)
+
+
+def random_records(draw, d: int, n: int) -> SimpleNamespace:
+    """n records whose first row holds thresholds only and the rest also NaN and +-inf."""
+    X = np.array([[draw(st.sampled_from(POOL if i == 0 else CELLS)) for _ in range(d)] for i in range(n)])
+    return SimpleNamespace(X=X, y=np.arange(n, dtype=float) ** 2)  # Dataset rejects +-inf cells
+
+
 class TestFactorisedKernelProperty:
     """The path-factorised kernel against the brute-force oracles, on random
     ensembles whose stages share structures."""
@@ -469,17 +512,9 @@ class TestFactorisedKernelProperty:
     def test_matches_brute_force(self, data):
         draw = data.draw
         d, n = draw(st.integers(2, 4)), draw(st.integers(3, 7))
-        shapes = [random_tree(draw, d) for _ in range(draw(st.integers(1, 3)))]
-        stages = []
-        for _ in range(draw(st.integers(1, 6))):
-            t = draw(st.sampled_from(shapes))  # structures repeat with new leaf values
-            values = [v if f >= 0 else draw(st.integers(-8, 8)) / 4.0 for v, f in zip(t.value, t.feature)]
-            tree = RegressionTree(t.feature, t.threshold, t.missing_right, t.left, t.right, values, t.improvement, d)
-            stages.append((tree, draw(st.sampled_from((1.0, 0.5, -1.5)))))
-        model = make_manual_model(stages, d, lr=draw(st.sampled_from((1.0, 0.5))), f0=0.25)
-        X = np.array([[draw(st.sampled_from(POOL if i == 0 else CELLS)) for _ in range(d)] for i in range(n)])
-        records = SimpleNamespace(X=X, y=np.arange(n, dtype=float) ** 2)  # Dataset rejects +-inf cells
-        rows = [list(r) for r in X]
+        model = random_model(draw, [random_tree(draw, d) for _ in range(draw(st.integers(1, 3)))], d)
+        records = random_records(draw, d, n)
+        rows = [list(r) for r in records.X]
         walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)], g * t.value)
                 for t, g in ((s.tree, model.config.learn_rate * s.gamma) for s in model.stages)]
 
@@ -502,7 +537,7 @@ class TestFactorisedKernelProperty:
         want = naive_pd_2d(predict_fn, rows, k, j, list(s.grid_j), list(s.grid_k))
         assert all(close(a, b) for got_row, want_row in zip(s.values, want) for a, b in zip(got_row, want_row))
 
-        shared = {p for t, _ in stages for p in itertools.combinations(split_features(t), 2)}
+        shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree.feature), 2)}
         outputs = [predict_fn(r) for r in rows]
         refs = {"response": list(records.y)}
         if len(set(outputs)) > 1:
@@ -517,6 +552,33 @@ class TestFactorisedKernelProperty:
                 assert pairwise_interaction(model, b, a, records, denominator) == score
                 if (a, b) not in shared:
                     assert score == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_block_size_changes_no_bit(self, data):
+        """Each structure in a block of its own, or blocks of any size, give the
+        default's bits, on ensembles that mix stumps with the widest trees."""
+        draw = data.draw
+        d, n = draw(st.integers(2, 4)), draw(st.integers(3, 7))
+        stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [0.0], [0.0], d)
+        widest = random_tree(draw, d, splits=4)
+        shapes = [stump, widest, *(random_tree(draw, d) for _ in range(draw(st.integers(0, 3))))]
+        model = random_model(draw, shapes, d, first=draw(st.permutations([stump, widest])))
+        records = random_records(draw, d, n)
+        grid_spec = draw(st.sampled_from((None, 3)))
+        j, k = draw(st.sampled_from(list(itertools.permutations(range(d), 2))))
+
+        def everything():
+            profiles = [partial_dependence_1d(model, f, records, grid_spec).values for f in range(d)]
+            surface = partial_dependence_2d(model, j, k, records, grid_spec).values
+            scores = interpret._interaction_scores(model, records, "response")
+            return [a.tobytes() for a in (*profiles, surface, scores)]
+
+        want = everything()
+        for budget in (1, draw(st.integers(1, 2000))):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(interpret, "BLOCK_CELLS", budget)
+                assert everything() == want, budget
 
 
 class TestResponseShiftInvariance:
