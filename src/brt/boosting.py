@@ -134,14 +134,17 @@ class BoostedModel:
     def structure_tables(self) -> dict[str, np.ndarray]:
         """Each distinct tree structure, in order of first use, as one row of
         (n_structures, widest tree) columns: the ROUTING fields of its first
-        stage, padded with leaf placeholders; ``leaf``, true at its leaves; and
-        ``table``, the scaled values of its stages' leaves summed in stage
-        order, 0 off the leaves."""
+        stage, padded with leaf placeholders, a leaf's children being -1 whatever
+        the file held there; ``leaf``, true at its leaves; and ``table``, the
+        scaled values of its stages' leaves summed in stage order, 0 off the
+        leaves."""
         first: dict[int, int] = {}  # id -> its first stage, in id order
         for m, sid in enumerate(self.structure.tolist()):
             first.setdefault(sid, m)
         rows = list(first.values())
         columns = {k: self.nodes[k][rows] for k in ROUTING}
+        for k in ("left", "right"):
+            columns[k] = np.where(columns["feature"] >= 0, columns[k], -1)
         width = self.scaled.shape[1]
         columns["leaf"] = (columns["feature"] < 0) & (np.arange(width) < self.node_count[rows][:, None])
         tables = np.zeros((len(rows), width))

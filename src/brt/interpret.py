@@ -35,9 +35,10 @@ import numpy as np
 from .boosting import ROUTING, BoostedModel, predict_batch
 from .tree import goes_right, split_improvements
 
-# Cells of temporaries that one block of structures may hold at once, a bool
+# Cells of temporaries that one block of structures aims to hold at once, a bool
 # being one cell and a float eight: 128 KiB, small enough to keep the commands'
-# peak memory about flat, large enough to amortise each numpy step.
+# peak memory about flat, large enough to amortise each numpy step. A block holds
+# at least one structure, whatever that takes; copies of the records are not counted.
 BLOCK_CELLS = 1 << 17
 # The most points one profile or surface may have (a 1024 x 1024 surface), checked
 # before any grid is made, since a surface allocates grid-squared points.
@@ -120,24 +121,34 @@ def _check_features(model: BoostedModel, *features: int) -> None:
             raise ValueError(f"feature index {f} out of range")
 
 
-def _resolve_grid(X: np.ndarray, feature: int, grid_spec) -> np.ndarray:
-    col = X[:, feature]
-    col = col[np.isfinite(col)]
-    if col.size == 0:
-        raise ValueError("cannot grid a fully missing feature")
-    if grid_spec is None:  # np.unique(col) without its first-call memory: sort, keep each first of equals
-        col = np.sort(col)
-        return col[np.concatenate(([True], col[1:] != col[:-1]))]
+def _grid_size(grid_spec, dims: int):
+    """The size `grid_spec` asks for on each of `dims` features, or None for the
+    observed values; checked before any grid is made."""
+    if grid_spec is None:
+        return None
     g = int(grid_spec)
     if g < 2:
         raise ValueError("grid size must be at least 2")
-    _check_points(g)
-    return np.linspace(float(col.min()), float(col.max()), g)
+    _check_points(g**dims)
+    return g
 
 
 def _check_points(count: int) -> None:
     if count > MAX_GRID_POINTS:
         raise ValueError(f"a grid of {count} points is over the cap of {MAX_GRID_POINTS}; give a smaller --grid")
+
+
+def _resolve_grid(X: np.ndarray, feature: int, size) -> np.ndarray:
+    """`size` points spaced evenly over the feature's finite values, or those
+    values themselves when `size` is None."""
+    col = X[:, feature]
+    col = col[np.isfinite(col)]
+    if col.size == 0:
+        raise ValueError("cannot grid a fully missing feature")
+    if size is None:  # np.unique(col) without its first-call memory: sort, keep each first of equals
+        col = np.sort(col)
+        return col[np.concatenate(([True], col[1:] != col[:-1]))]
+    return np.linspace(float(col.min()), float(col.max()), size)
 
 
 def _blocks(ids: np.ndarray, cells: int):
@@ -202,7 +213,7 @@ def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=Non
     """Centered mean-response curve for one feature (brute-force contract)."""
     X = _usable_rows(model, data)
     _check_features(model, feature)
-    grid = _resolve_grid(X, feature, grid_spec)
+    grid = _resolve_grid(X, feature, _grid_size(grid_spec, 1))
     raw = _pd_means(model, X, (feature,), grid[:, None])
     return PDProfile(feature, model.feature_names[feature], grid, raw - raw.sum() / len(raw))
 
@@ -211,10 +222,10 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     """Centered mean-response grid for a feature pair."""
     _check_features(model, j, k)
     X = _usable_rows(model, data)
-    if grid_spec is not None:
-        _check_points(int(grid_spec) ** 2)
-    grid_j, grid_k = (_resolve_grid(X, f, grid_spec) for f in (j, k))
-    _check_points(len(grid_j) * len(grid_k))
+    size = _grid_size(grid_spec, 2)
+    grid_j, grid_k = (_resolve_grid(X, f, size) for f in (j, k))
+    if size is None:  # observed values: the product is known only now
+        _check_points(len(grid_j) * len(grid_k))
     points = np.column_stack([np.repeat(grid_j, len(grid_k)), np.tile(grid_k, len(grid_j))])
     raw = _pd_means(model, X, (j, k), points).reshape(len(grid_j), len(grid_k))
     values = raw - raw.sum() / raw.size

@@ -264,6 +264,16 @@ class TestPdp:
         assert "--grid" in err and f"over the cap of {MAX_GRID_POINTS}" in err
         assert not list(out.glob("pd_*"))
 
+    @pytest.mark.parametrize("features", [["--feature", "alpha"], ["--feature", "alpha", "--feature2", "beta"]])
+    @pytest.mark.parametrize("grid", [1, -2000])
+    def test_grid_below_two_exits_1(self, capsys, trained, features, grid):
+        out, table = trained
+        argv = ["pdp", str(out / "model.brtm"), str(table), "--out", str(out), *features, "--grid", str(grid)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert "grid size must be at least 2" in err and "over the cap" not in err
+        assert not list(out.glob("pd_*"))
+
     def test_default_grid_surface_over_the_cap_exits_1(self, monkeypatch, capsys, trained):
         out, table = trained
         monkeypatch.setattr(interpret, "MAX_GRID_POINTS", 399)  # the toy table's 20 x 20 observed values

@@ -1,4 +1,5 @@
 import itertools
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from brt.interpret import (
     partial_dependence_2d,
     relative_influence,
 )
+from brt.model_io import load_model, save_model
 from brt.tree import RegressionTree
 
 from conftest import lattice_dataset, random_dataset
@@ -579,6 +581,51 @@ class TestFactorisedKernelProperty:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(interpret, "BLOCK_CELLS", budget)
                 assert everything() == want, budget
+
+
+class TestLeafChildPlaceholders:
+    """A leaf's child entries in a brtm/1 file are unused placeholders, so no
+    value there may change partial dependence or interactions."""
+
+    @pytest.mark.parametrize("leaf_children", [(3, 4), (1000, 1000), (0, 0)])
+    def test_match_brute_force_whatever_a_leaf_names_as_children(self, tmp_path, leaf_children):
+        trees = [(two_split_tree(0, 1, 3), 1.0), (split_tree(2, 0.4, -1.0, 1.0, 3), 0.5), (two_split_tree(1, 2, 3), 0.7)]
+        path = tmp_path / "model.brtm"
+        save_model(make_manual_model(trees, 3, lr=0.5, f0=0.25), path)
+        lines = path.read_text().splitlines()
+        for m in range(2, len(lines)):  # a leaf of two_split_tree (node 2) names nodes 3 and 4, as splits do
+            stage = json.loads(lines[m])
+            for side, child in zip(("left", "right"), leaf_children):
+                stage[side] = [c if f >= 0 else child for c, f in zip(stage[side], stage["feature"])]
+            lines[m] = json.dumps(stage)
+        path.write_text("\n".join(lines) + "\n")
+        model = load_model(path)
+        assert (model.nodes["left"] == leaf_children[0]).any()
+
+        X = np.array([[0.2, 0.1, 0.9], [0.7, np.nan, 0.3], [0.5, 0.3, 0.4], [0.1, 0.8, np.nan], [0.9, 0.2, 0.6]])
+        records = Dataset.from_arrays(X, np.arange(5, dtype=float) ** 2)
+        rows = [list(r) for r in X]
+        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)], g * t.value)
+                for t, g in ((s.tree, model.config.learn_rate * s.gamma) for s in model.stages)]
+
+        def predict_fn(row):  # walks splits only, so never reads a leaf's children
+            acc = model.f0
+            for arrays, values in walk:
+                acc += values[naive_flat_leaf(*arrays, row)]
+            return acc
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for f in range(3):
+            p = partial_dependence_1d(model, f, records)
+            assert all(close(a, b) for a, b in zip(p.values, naive_pd_1d(predict_fn, rows, f, list(p.grid))))
+        s = partial_dependence_2d(model, 0, 1, records, grid_spec=3)
+        want = naive_pd_2d(predict_fn, rows, 0, 1, list(s.grid_j), list(s.grid_k))
+        assert all(close(a, b) for got_row, want_row in zip(s.values, want) for a, b in zip(got_row, want_row))
+        rep = interaction_report(model, records, "response")
+        for (a, b), score in rep.pairwise.items():
+            assert close(score, naive_interaction(predict_fn, rows, a, b, list(records.y))), (a, b)
 
 
 class TestResponseShiftInvariance:
