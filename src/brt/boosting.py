@@ -25,10 +25,15 @@ from functools import cached_property
 import numpy as np
 
 from .rng import SplitMix64, sample_without_replacement
-from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits
+from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits, goes_right
 
 # The node fields that decide which leaf a row reaches.
 ROUTING = ("feature", "threshold", "missing_right", "left", "right")
+# Cells of temporaries that one block of structures aims to hold at once, a bool
+# being one cell and a float eight: 128 KiB, small enough to keep the commands'
+# peak memory about flat, large enough to amortise each numpy step. A block holds
+# at least one structure, whatever that takes; copies of the rows are not counted.
+BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -122,13 +127,6 @@ class BoostedModel:
         ids: dict[bytes, int] = {}
         rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
         return np.array([ids.setdefault(r, len(ids)) for r in rows], dtype=np.intp)
-
-    @cached_property
-    def last_use(self) -> np.ndarray:
-        """True at the last stage of each structure."""
-        last = np.zeros(self.n_stages, dtype=bool)
-        last[list({sid: m for m, sid in enumerate(self.structure.tolist())}.values())] = True
-        return last
 
     @cached_property
     def structure_tables(self) -> dict[str, np.ndarray]:
@@ -251,26 +249,61 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     return BoostedModel.from_stages(f0, stages, config, data.feature_names)
 
 
+def _blocks(ids: np.ndarray, cells: int):
+    """Consecutive runs of the structure ids `ids`, each as many as fit in
+    BLOCK_CELLS when one structure's temporaries take `cells` cells."""
+    size = max(1, BLOCK_CELLS // max(cells, 1))
+    return [ids[a : a + size] for a in range(0, len(ids), size)]
+
+
+def _pass_table(columns: dict, V: np.ndarray, cols, tests: np.ndarray) -> np.ndarray:
+    """ok[s, i, row]: does V's row pass every split along the path to node i of
+    structure s that tests it? Column c of V holds values of feature cols[c],
+    and a split on that feature tests the rows where tests[c] is true; every
+    other row, and every split on a feature outside `cols`, lets it through.
+    `columns` holds structure_tables rows. One numpy step per node position
+    serves every structure, since children are numbered after their parent."""
+    feature, threshold, missing_right, left, right = (columns[k] for k in ROUTING)
+    at = np.full(feature.shape, -1)  # the column of V holding each split's feature, -1 for none
+    for c, f in enumerate(cols):
+        at[feature == f] = c
+    values = np.concatenate([V.T, np.zeros((1, V.shape[0]))])  # row -1 stands in for the other features
+    skips = np.concatenate([~tests, np.ones((1, V.shape[0]), dtype=bool)])
+    ok = np.ones((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=bool)  # a leaf's children: -1, a spare
+    every = np.arange(feature.shape[0])
+    for i in range(feature.shape[1]):
+        v, t, skip = values[at[:, i]], threshold[:, i, None], skips[at[:, i]]
+        up = np.where(missing_right[:, i, None], goes_right(v, t, True), goes_right(v, t, False))
+        parent = ok[:, i]
+        ok[every, left[:, i]] = parent & (skip | ~up)
+        ok[every, right[:, i]] = parent & (skip | up)
+    return ok[:, :-1]
+
+
 def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
     """Yield (m, F_m(X)) for m = 0..n_stages: f0 plus the first m tree
     outputs, each scaled by learn_rate*gamma rounded once, added in stage
     order into one array that is updated in place and yielded each time.
 
-    Each distinct structure is routed once: its leaf ids are kept, in the
-    smallest dtype that holds them, only while a later stage still uses it.
+    Before the first yield, the structures those stages use (ids 0 up to
+    the largest, as ids are numbered by first use) are routed once, a block
+    at a time, by the pass-table builder the analytics share: a row's leaf
+    is the one leaf position it passes to. Leaf ids are integers, kept in
+    the smallest dtype that holds them, so routing changes no bit of a sum.
     """
-    scaled, stages = model.scaled, model.stages
-    leaf_dtype = np.min_scalar_type(scaled.shape[1] - 1)
-    cached: dict[int, np.ndarray] = {}
-    out = np.full(X.shape[0], model.f0)
+    scaled, structure = model.scaled, model.structure[:n_stages]
+    n, d = X.shape
+    leaves = np.empty((int(structure.max(initial=-1)) + 1, n), dtype=np.min_scalar_type(scaled.shape[1] - 1))
+    # per structure: a bool pass table over width + 1 node positions, its leaf-masked
+    # copy, and two 8-byte rows (the split values gathered at a node position, the argmax)
+    for block in _blocks(np.arange(len(leaves)), (2 * scaled.shape[1] + 17) * n):
+        columns = {k: model.structure_tables[k][block] for k in (*ROUTING, "leaf")}
+        ok = _pass_table(columns, X, range(d), np.ones((d, n), dtype=bool))
+        leaves[block] = (ok & columns["leaf"][:, :, None]).argmax(axis=1)
+    out = np.full(n, model.f0)
     yield 0, out
-    for m, (sid, last) in enumerate(zip(model.structure[:n_stages].tolist(), model.last_use.tolist())):
-        leaves = cached.pop(sid, None) if last else cached.get(sid)
-        if leaves is None:
-            leaves = stages[m].tree.leaf_assignments(X)
-            if not last:
-                cached[sid] = leaves.astype(leaf_dtype)
-        out += scaled[m].take(leaves)
+    for m, sid in enumerate(structure.tolist()):
+        out += scaled[m].take(leaves[sid])
         yield m + 1, out
 
 
@@ -289,6 +322,8 @@ def predict_batch(model: BoostedModel, X, n_stages: int | None = None) -> np.nda
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
     k = model.n_stages if n_stages is None else n_stages
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"n_stages must be an integer, got {n_stages!r}")
     if not 0 <= k <= model.n_stages:
         raise ValueError(f"n_stages must be in [0, {model.n_stages}]")
     return deque(_running_sums(model, X, int(k)), maxlen=1).pop()[1]

@@ -8,6 +8,7 @@ error, 2 usage error (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -15,11 +16,11 @@ import numpy as np
 
 from . import svg
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
-from .data import Dataset, fy_label, load_model_table, load_raw_directory, assemble_model_table, write_model_table
+from .data import fy_label, load_model_table, load_raw_directory, assemble_model_table, write_model_table
 from .interpret import (
     MAX_GRID_POINTS, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
 )
-from .metrics import fit_report
+from .metrics import fit_report, resolve_threshold
 from .model_io import load_model, save_model
 
 
@@ -72,28 +73,41 @@ def _feature_index(model, name: str) -> int:
         raise ValueError(f"unknown feature {name!r}; valid names: {', '.join(model.feature_names)}") from None
 
 
-def _check_names(model, data: Dataset) -> None:
+def _load_model_and_table(args) -> tuple:
+    """The model and the model table a command reads; their feature names must agree."""
+    model, data = load_model(args.model), load_model_table(args.data)
     if tuple(model.feature_names) != tuple(data.feature_names):
         only_model = [n for n in model.feature_names if n not in data.feature_names]
         only_data = [n for n in data.feature_names if n not in model.feature_names]
         raise ValueError(
-            "feature names of model and data differ"
+            f"feature names of model {args.model} and data {args.data} differ"
             + (f"; only in model: {only_model}" if only_model else "")
             + (f"; only in data: {only_data}" if only_data else "")
             + ("; order differs" if not only_model and not only_data else "")
         )
+    return model, data
+
+
+@contextlib.contextmanager
+def _naming(*inputs):
+    """A ValueError raised inside is about these inputs taken together: name them."""
+    try:
+        yield
+    except ValueError as e:
+        raise ValueError(f"{' with '.join(map(str, inputs))}: {e}") from None
 
 
 def cmd_train(args) -> int:
     data = load_model_table(args.data)
     config = _config_from_args(args)
+    threshold = resolve_threshold(data.y, args.roc_threshold)  # checked before the fit, which it does not change
     out = _out_dir(args)
 
     model = fit_ensemble(data, config)
     save_model(model, out / "model.brtm")
 
     preds = predict_batch(model, data.X)
-    report = fit_report(data.y, preds, roc_threshold=args.roc_threshold)
+    report = fit_report(data.y, preds, roc_threshold=threshold)
     _write_csv(
         out / "metrics.csv",
         ["metric", "value"],
@@ -129,13 +143,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = load_model(args.model)
-    data = load_model_table(args.data)
-    _check_names(model, data)
+    if args.top < 0:
+        raise ValueError(f"--top must be at least 0, got {args.top}")
+    model, data = _load_model_and_table(args)
     out = _out_dir(args)
 
-    influence = relative_influence(model)
-    ranked = influence.ranked()
+    with _naming(args.model, args.data):
+        ranked = relative_influence(model).ranked()
+        interactions = interaction_report(model, data, denominator=args.interaction_denominator)
     _write_csv(out / "influence.csv", ["feature", "percent"], [[n, v] for n, v in ranked])
     svg.bar_chart(
         out / "influence.svg",
@@ -145,7 +160,6 @@ def cmd_report(args) -> int:
         "share of squared split improvement (%)",
     )
 
-    interactions = interaction_report(model, data, denominator=args.interaction_denominator)
     pair_rows = [
         [model.feature_names[a], model.feature_names[b], score]
         for (a, b), score in interactions.pairwise_ranked()
@@ -167,9 +181,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_pdp(args) -> int:
-    model = load_model(args.model)
-    data = load_model_table(args.data)
-    _check_names(model, data)
+    model, data = _load_model_and_table(args)
     out = _out_dir(args)
     grid = args.grid
 
@@ -182,7 +194,8 @@ def cmd_pdp(args) -> int:
             raise ValueError("features must differ")
         j = _feature_index(model, args.feature)
         k = _feature_index(model, args.feature2)
-        surface = partial_dependence_2d(model, j, k, data, grid_spec=grid)
+        with _naming(args.model, args.data):
+            surface = partial_dependence_2d(model, j, k, data, grid_spec=grid)
         stem = f"pd_{args.feature}_x_{args.feature2}"
         rows = [
             [float(surface.grid_j[a]), float(surface.grid_k[b]), float(surface.values[a, b])]
@@ -208,7 +221,8 @@ def cmd_pdp(args) -> int:
 
     for name in features:
         j = _feature_index(model, name)
-        profile = partial_dependence_1d(model, j, data, grid_spec=grid)
+        with _naming(args.model, args.data):
+            profile = partial_dependence_1d(model, j, data, grid_spec=grid)
         _write_csv(
             out / f"pd_{name}.csv",
             [name, "dependence"],
@@ -227,10 +241,11 @@ def cmd_pdp(args) -> int:
 
 
 def cmd_build_data(args) -> int:
-    series = load_raw_directory(args.raw)
-    dataset, provenance = assemble_model_table(
-        series, rain_mean=args.rain_mean, msp_weight_year=args.msp_weight_year
-    )
+    series = load_raw_directory(args.raw)  # names the file at fault
+    with _naming(args.raw):  # the series disagree: name the directory that holds them
+        dataset, provenance = assemble_model_table(
+            series, rain_mean=args.rain_mean, msp_weight_year=args.msp_weight_year
+        )
     out = _out_dir(args)
     write_model_table(dataset, out / "model_table.csv")
     (out / "provenance.txt").write_text(provenance, encoding="utf-8")

@@ -8,10 +8,10 @@ centered over their grid. It is computed by path factorisation (Friedman
 exactly when g passes l's path splits on S and the record passes the rest,
 so PD_S(g) = f0 + sum over structures and leaves l of T[l] * pass_l,S(g) *
 mean_r pass_l,not S(x_r), T being a structure's scaled leaf values summed
-in stage order. Passes use ``tree.goes_right``, the rule that prediction
-routes by, so NaN, +-inf and values on a threshold go where prediction sends
-them; this matches the brute-force loop to 1e-12 without a grid-by-records
-batch.
+in stage order. Passes come from ``boosting._pass_table``, the builder that
+prediction routes blocks of structures with, so NaN, +-inf and values on a
+threshold go where prediction sends them; this matches the brute-force loop
+to 1e-12 without a grid-by-records batch.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at
@@ -32,14 +32,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .boosting import ROUTING, BoostedModel, predict_batch
-from .tree import goes_right, split_improvements
+from .boosting import BoostedModel, _blocks, _pass_table, predict_batch
+from .tree import split_improvements
 
-# Cells of temporaries that one block of structures aims to hold at once, a bool
-# being one cell and a float eight: 128 KiB, small enough to keep the commands'
-# peak memory about flat, large enough to amortise each numpy step. A block holds
-# at least one structure, whatever that takes; copies of the records are not counted.
-BLOCK_CELLS = 1 << 17
 # The most points one profile or surface may have (a 1024 x 1024 surface), checked
 # before any grid is made, since a surface allocates grid-squared points.
 MAX_GRID_POINTS = 1 << 20
@@ -149,37 +144,6 @@ def _resolve_grid(X: np.ndarray, feature: int, size) -> np.ndarray:
         col = np.sort(col)
         return col[np.concatenate(([True], col[1:] != col[:-1]))]
     return np.linspace(float(col.min()), float(col.max()), size)
-
-
-def _blocks(ids: np.ndarray, cells: int):
-    """Consecutive runs of the structure ids `ids`, each as many as fit in
-    BLOCK_CELLS when one structure's temporaries take `cells` cells."""
-    size = max(1, BLOCK_CELLS // max(cells, 1))
-    return [ids[a : a + size] for a in range(0, len(ids), size)]
-
-
-def _pass_table(columns: dict, V: np.ndarray, cols, tests: np.ndarray) -> np.ndarray:
-    """ok[s, i, row]: does V's row pass every split along the path to node i of
-    structure s that tests it? Column c of V holds values of feature cols[c],
-    and a split on that feature tests the rows where tests[c] is true; every
-    other row, and every split on a feature outside `cols`, lets it through.
-    `columns` holds structure_tables rows. One numpy step per node position
-    serves every structure, since children are numbered after their parent."""
-    feature, threshold, missing_right, left, right = (columns[k] for k in ROUTING)
-    at = np.full(feature.shape, -1)  # the column of V holding each split's feature, -1 for none
-    for c, f in enumerate(cols):
-        at[feature == f] = c
-    values = np.concatenate([V.T, np.zeros((1, V.shape[0]))])  # row -1 stands in for the other features
-    skips = np.concatenate([~tests, np.ones((1, V.shape[0]), dtype=bool)])
-    ok = np.ones((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=bool)  # a leaf's children: -1, a spare
-    every = np.arange(feature.shape[0])
-    for i in range(feature.shape[1]):
-        v, t, skip = values[at[:, i]], threshold[:, i, None], skips[at[:, i]]
-        up = np.where(missing_right[:, i, None], goes_right(v, t, True), goes_right(v, t, False))
-        parent = ok[:, i]
-        ok[every, left[:, i]] = parent & (skip | ~up)
-        ok[every, right[:, i]] = parent & (skip | up)
-    return ok[:, :-1]
 
 
 def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:

@@ -61,16 +61,21 @@ def roc_auc(actual: np.ndarray, predicted: np.ndarray, threshold: float) -> floa
 
 
 def resolve_threshold(actual: np.ndarray, spec) -> float:
-    """'median', 'mean', or a number (also accepts 'value:x' strings)."""
-    if isinstance(spec, str):
-        if spec == "median":
-            return float(np.median(actual))
-        if spec == "mean":
-            return float(actual.sum()) / len(actual)
-        if spec.startswith("value:"):
-            return float(spec.split(":", 1)[1])
-        raise ValueError(f"unknown roc threshold {spec!r}")
-    return float(spec)
+    """'median', 'mean', or a finite number (also accepts 'value:x' strings)."""
+    if spec == "median":  # np.median's value without its first-call import of numpy.ma (~1 MB)
+        s, mid = np.sort(actual), len(actual) // 2
+        return float(s[mid]) if len(s) % 2 else (float(s[mid - 1]) + float(s[mid])) / 2.0
+    if spec == "mean":
+        return float(actual.sum()) / len(actual)
+    if isinstance(spec, str) and not spec.startswith("value:"):
+        raise ValueError(f"unknown roc threshold {spec!r}; give median, mean or value:x")
+    try:
+        threshold = float(spec.removeprefix("value:") if isinstance(spec, str) else spec)
+    except (TypeError, ValueError):
+        threshold = math.nan  # rejected below with the infinities
+    if not math.isfinite(threshold):
+        raise ValueError(f"roc threshold {spec!r} must be a finite number")
+    return threshold
 
 
 def fit_report(actual, predicted, roc_threshold="median") -> FitReport:

@@ -160,11 +160,18 @@ def load_model(source) -> BoostedModel:
     """The model in a brtm/1 document at a path or in a text stream. A malformed
     document raises ModelParseError naming the source and, where there is one,
     the line."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
     try:
-        return _parse_model(text)
+        return _parse_model(source.read() if hasattr(source, "read") else _decode(Path(source).read_bytes()))
     except ModelParseError as e:
         raise ModelParseError(f"{_source_name(source)}: {e}") from None
+
+
+def _decode(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise _error(line, f"not UTF-8: cannot decode byte {raw[e.start]:#04x}") from None
 
 
 def _parse_model(text: str) -> BoostedModel:

@@ -4,7 +4,9 @@ import io
 import numpy as np
 import pytest
 
+from brt import boosting
 from brt.boosting import (
+    ROUTING,
     BoostConfig,
     fit_ensemble,
     line_search_gamma,
@@ -85,6 +87,9 @@ class TestFitEnsemble:
         assert model.n_stages == 0
         assert model.f0 == pytest.approx(5.5)
         assert predict(model, [3.0]) == 5.5
+        assert predict_batch(model, ds.X).tolist() == [5.5] * ds.n_rows
+        assert predict_batch(model, ds.X[:0]).shape == (0,)
+        assert staged_metric(model, ds).points == ()
 
     def test_monotone_identity_toy_converges(self):
         ds = identity_toy()
@@ -334,6 +339,16 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(m, [5.0], n_stages=m.n_stages + 1)
 
+    def test_n_stages_must_be_an_integer(self, model):
+        m, ds = model
+        assert predict_batch(m, ds.X, np.int64(2)).tobytes() == predict_batch(m, ds.X, 2).tobytes()
+        assert predict(m, [5.0], n_stages=np.uint8(2)) == predict(m, [5.0], n_stages=2)
+        for k in (2.5, 2.0, True, np.bool_(True), "2", np.float64(2.0)):
+            with pytest.raises(ValueError, match="n_stages must be an integer"):
+                predict_batch(m, ds.X, k)
+            with pytest.raises(ValueError, match="n_stages must be an integer"):
+                predict(m, [5.0], n_stages=k)
+
 
 class TestStagedMetric:
     def test_constant_response_zero_mse(self):
@@ -443,25 +458,40 @@ class TestPackedPrediction:
             [-inf, inf], [inf, -inf], [0.0, nan], [nan, 0.0], [2.5, -1.0],
         ])
         _assert_every_prefix_matches_stage_loop(model, X)
+        _assert_every_prefix_matches_stage_loop(model, X[:0])
         # the rows above send a missing value right at tree a's root and left at tree b's
         assert trees[0].leaf_assignments(np.array([[nan, 5.0]])).tolist() == [2]
         assert trees[1].leaf_assignments(np.array([[5.0, nan]])).tolist() == [4]
 
     def test_routes_each_distinct_structure_once_per_call(self, standin_model, monkeypatch):
         model, data = standin_model
-        calls = []
-        route = RegressionTree.leaf_assignments
+        calls = []  # per block routed: the ROUTING row of each structure in it, and the rows routed
+        build = boosting._pass_table
 
-        def counted(tree, X):
-            calls.append(_structure_key(tree))
-            return route(tree, X)
+        def counted(columns, V, cols, tests):
+            rows = zip(*(columns[k] for k in ROUTING))
+            calls.append(([b"".join(a.tobytes() for a in row) for row in rows], len(V)))
+            return build(columns, V, cols, tests)
 
-        monkeypatch.setattr(RegressionTree, "leaf_assignments", counted)
-        distinct = {_structure_key(s.tree) for s in model.stages}
-        for _ in range(2):
+        monkeypatch.setattr(boosting, "_pass_table", counted)
+        for k in (model.n_stages, model.n_stages, 40, 1, 0):
             calls.clear()
-            predict_batch(model, data.X)
-            assert len(calls) == len(set(calls)) == len(distinct)
+            predict_batch(model, data.X, n_stages=k)
+            routed = [key for block, _ in calls for key in block]
+            assert len(routed) == len(set(routed)) == len({_structure_key(s.tree) for s in model.stages[:k]})
+            assert all(rows == data.n_rows for _, rows in calls)
         calls.clear()
-        predict_batch(model, data.X, n_stages=40)
-        assert len(calls) == len({_structure_key(s.tree) for s in model.stages[:40]})
+        staged_metric(model, data, stride=1)
+        routed = [key for block, _ in calls for key in block]
+        assert len(routed) == len(set(routed)) == len({_structure_key(s.tree) for s in model.stages})
+
+    def test_prediction_builds_no_tree(self, standin_model, monkeypatch):
+        model, data = standin_model
+        want = predict_batch(model, data.X).tobytes(), staged_metric(model, data).points
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("prediction built a RegressionTree")
+
+        monkeypatch.setattr(RegressionTree, "__init__", refuse)
+        assert (predict_batch(model, data.X).tobytes(), staged_metric(model, data).points) == want
+        assert predict(model, data.X[0]) == predict_batch(model, data.X)[0]

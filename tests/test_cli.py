@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brt import interpret
 from brt.cli import main
@@ -71,6 +76,14 @@ class TestTrain:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("spec", ["value:abc", "value:nan", "value:inf", "quartile"])
+    def test_bad_roc_threshold_exits_1_before_the_fit(self, tmp_path, capsys, toy_table, spec):
+        out = tmp_path / "run"
+        code, _, err = run(["train", str(toy_table), "--out", str(out), "--roc-threshold", spec], capsys)
+        assert code == 1
+        assert f"roc threshold {spec!r}" in err
+        assert not (out / "model.brtm").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys, toy_table):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["train", str(toy_table), "--out", str(out_a)] + TRAIN_FLAGS, capsys)[0] == 0
@@ -98,6 +111,26 @@ class TestReport:
         overall = (out / "interactions_overall.csv").read_text().splitlines()
         assert len(overall) == 3
         assert "relative influence" in stdout
+
+    def test_negative_top_exits_1_naming_the_option(self, tmp_path, capsys, trained):
+        out, table = trained
+        code, _, err = run(["report", str(out / "model.brtm"), str(table), "--out", str(out), "--top", "-1"], capsys)
+        assert code == 1
+        assert "--top must be at least 0" in err
+        assert not (out / "influence.csv").exists()
+        code, stdout, _ = run(["report", str(out / "model.brtm"), str(table), "--out", str(out), "--top", "0"], capsys)
+        assert code == 0
+        assert " x " not in stdout  # no pairwise row printed
+
+    def test_non_utf8_model_file_names_file_and_line(self, tmp_path, capsys, trained):
+        out, table = trained
+        lines = (out / "model.brtm").read_bytes().split(b"\n")
+        lines[3] = lines[3][:10] + b"\xff" + lines[3][11:]
+        bad = tmp_path / "bad.brtm"
+        bad.write_bytes(b"\n".join(lines))
+        code, _, err = run(["report", str(bad), str(table), "--out", str(tmp_path / "bad_out")], capsys)
+        assert code == 1
+        assert f"{bad}: model parse error at line 4: not UTF-8: cannot decode byte 0xff" in err
 
     def test_corrupted_model_file(self, tmp_path, capsys, trained):
         out, table = trained
@@ -192,6 +225,25 @@ class TestReport:
         code, _, err = run(argv, capsys)
         assert code == 1
         assert "beta" in err and "gamma" in err
+        assert f"feature names of model {out / 'model.brtm'} and data {other} differ" in err
+
+    def test_analysis_failure_names_model_and_table(self, tmp_path, capsys, trained):
+        out, table = trained
+        lines = (out / "model.brtm").read_text().splitlines()
+        header = json.loads(lines[1])
+        header["config"]["learn_rate"] = 0.0  # every prediction is f0
+        lines[1] = json.dumps(header)
+        flat = tmp_path / "flat.brtm"
+        flat.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["report", str(flat), str(table), "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert f"{flat} with {table}: degenerate model: no output variation" in err
+        ds = load_model_table(table)
+        holes = tmp_path / "holes.csv"
+        write_model_table(Dataset(ds.years, ds.feature_names, np.where([False, True], np.nan, ds.X), ds.y), holes)
+        code, _, err = run(["pdp", str(out / "model.brtm"), str(holes), "--all", "--out", str(tmp_path / "o")], capsys)
+        assert code == 1
+        assert f"{out / 'model.brtm'} with {holes}: cannot grid a fully missing feature" in err
 
 
 class TestPdp:
@@ -333,6 +385,63 @@ class TestBuildData:
         assert code == 1
         assert "agri_input_prices has no year covered by every input" in err
         assert "Traceback" not in err
+
+
+MUTATION_TRAIN_FLAGS = ["--trees", "8", "--learn-rate", "0.3", "--min-leaf", "1", "--seed", "3"]
+LINE_TEXT = st.text(st.sampled_from('0123456789.-+eE,"{}[]:naNAyr \t\xff\u00e9'), max_size=12)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A small model table, a model trained on it, and a raw directory."""
+    root = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(5)
+    X = np.round(rng.uniform(0, 2, size=(10, 3)), 2)
+    X[3, 1] = np.nan
+    ds = Dataset(range(2001, 2011), ("alpha", "beta", "gamma"), X, np.round(X[:, 0] * X[:, 2] - X[:, 0], 2))
+    write_model_table(ds, root / "table.csv")
+    assert main(["train", str(root / "table.csv"), "--out", str(root), *MUTATION_TRAIN_FLAGS]) == 0
+    write_toy_raw(root / "raw")
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_input_exits_0_or_1_naming_an_input(valid_inputs, data):
+    """One line or one byte of a valid model, model table, series CSV or weights
+    CSV is changed; every command that reads it exits 0 or 1 without an escaping
+    exception, and an exit 1 names an input file."""
+    draw = data.draw
+    names = ["model.brtm", "table.csv", *(f"raw/{p.name}" for p in sorted((valid_inputs / "raw").iterdir()))]
+    target = draw(st.sampled_from(names))
+    raw = (valid_inputs / target).read_bytes()
+    if draw(st.booleans()):
+        lines = raw.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(LINE_TEXT).encode()
+        mutated = b"\n".join(lines)
+    else:
+        i = draw(st.integers(0, len(raw) - 1))
+        mutated = raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1 :]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in names:
+            (root / name).parent.mkdir(exist_ok=True)
+            (root / name).write_bytes(mutated if name == target else (valid_inputs / name).read_bytes())
+        model, table, raw_dir, out = (str(root / p) for p in ("model.brtm", "table.csv", "raw", "out"))
+        if target == "model.brtm":
+            runs = [["report", model, table], ["pdp", model, table, "--all"]]
+        elif target == "table.csv":
+            runs = [["train", table, *MUTATION_TRAIN_FLAGS], ["report", model, table], ["pdp", model, table, "--all"]]
+        else:
+            runs = [["build-data", "--raw", raw_dir]]
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", out])
+            inputs = [a for a in argv[1:] if a.startswith(tmp)]
+            assert code in (0, 1), argv
+            assert code == 0 or any(p in err.getvalue() for p in inputs), (argv, err.getvalue())
 
 
 def test_bundled_dataset_trains_quickly(tmp_path, capsys):

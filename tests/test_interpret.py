@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brt import interpret
-from brt.boosting import BoostConfig, BoostedModel, Stage, fit_ensemble, predict, predict_batch
+from brt import boosting, interpret
+from brt.boosting import BoostConfig, BoostedModel, Stage, fit_ensemble, predict, predict_batch, staged_metric
 from brt.data import Dataset
 from brt.interpret import (
     interaction_report,
@@ -369,15 +369,16 @@ class TestInteractionsPerStructure:
 
     @pytest.fixture()
     def routed(self, monkeypatch):
-        """(split features, rows) of every leaf_assignments call."""
+        """(split features of each structure in the block, rows) of every block
+        that prediction routes."""
         calls = []
-        original = RegressionTree.leaf_assignments
+        original = boosting._pass_table
 
-        def counting(tree, X):
-            calls.append((split_features(tree.feature), X.shape[0]))
-            return original(tree, X)
+        def counting(columns, V, cols, tests):
+            calls.append(([split_features(row) for row in columns["feature"]], V.shape[0]))
+            return original(columns, V, cols, tests)
 
-        monkeypatch.setattr(RegressionTree, "leaf_assignments", counting)
+        monkeypatch.setattr(boosting, "_pass_table", counting)
         return calls
 
     @pytest.fixture()
@@ -402,7 +403,10 @@ class TestInteractionsPerStructure:
             ds, BoostConfig(n_trees=30, learn_rate=0.3, max_nodes=9, min_leaf_obs=1, subsample_fraction=0.8, seed=4)
         )
         interaction_report(model, ds, denominator="model")
-        assert routed and all(rows == n for _, rows in routed)  # the denominator's predict_batch only
+        # the denominator's predict_batch only: each structure once, on the n records
+        structures = [f for block, _ in routed for f in block]
+        assert structures == [split_features(row) for row in model.structure_tables["feature"]]
+        assert all(rows == n for _, rows in routed)
         assert pass_tables and all(shape[2] == len(cols) * n for _, cols, shape in pass_tables)  # n per feature
         routed.clear()
         interaction_report(model, ds, denominator="response")
@@ -440,7 +444,7 @@ class TestInteractionsPerStructure:
         rep = interaction_report(model, ds, denominator="model")
         assert all(score == 0.0 for score in rep.pairwise.values())
         assert pass_tables == []
-        assert routed == [((f,), n) for f in (0, 1, 2, 2)]  # predict_batch: one routing per structure
+        assert routed == [([(0,), (1,), (2,), (2,)], n)]  # predict_batch: one block of every structure
 
     def test_pd_builds_pass_tables_per_block_not_per_structure(self, pass_tables, monkeypatch):
         ds = random_dataset(np.random.default_rng(3), 30, 4, missing=True)
@@ -451,9 +455,9 @@ class TestInteractionsPerStructure:
         want = partial_dependence_1d(model, 1, ds)
         # one block: the records' side, then the grid side
         assert [(block, cols) for block, cols, _ in pass_tables] == [(everything, (0, 2, 3)), (everything, (1,))]
-        for budget in (1, interpret.BLOCK_CELLS // 12):
+        for budget in (1, boosting.BLOCK_CELLS // 12):
             pass_tables.clear()
-            monkeypatch.setattr(interpret, "BLOCK_CELLS", budget)
+            monkeypatch.setattr(boosting, "BLOCK_CELLS", budget)
             got = partial_dependence_1d(model, 1, ds)
             assert got.values.tobytes() == want.values.tobytes()
             sides = [[f for block, _, _ in pass_tables[side::2] for f in block] for side in (0, 1)]
@@ -574,12 +578,17 @@ class TestFactorisedKernelProperty:
             profiles = [partial_dependence_1d(model, f, records, grid_spec).values for f in range(d)]
             surface = partial_dependence_2d(model, j, k, records, grid_spec).values
             scores = interpret._interaction_scores(model, records, "response")
-            return [a.tobytes() for a in (*profiles, surface, scores)]
+            prefixes = [predict_batch(model, records.X, m) for m in range(model.n_stages + 1)]
+            return [a.tobytes() for a in (*profiles, surface, scores, *prefixes)]
 
         want = everything()
+        stage_loop = [np.full(n, model.f0)]  # one tree at a time, by the tree's own walk
+        for s in model.stages:
+            stage_loop.append(stage_loop[-1] + (model.config.learn_rate * s.gamma) * s.tree.predict_batch(records.X))
+        assert want[-len(stage_loop) :] == [a.tobytes() for a in stage_loop]
         for budget in (1, draw(st.integers(1, 2000))):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(interpret, "BLOCK_CELLS", budget)
+                mp.setattr(boosting, "BLOCK_CELLS", budget)
                 assert everything() == want, budget
 
 
@@ -591,7 +600,8 @@ class TestLeafChildPlaceholders:
     def test_match_brute_force_whatever_a_leaf_names_as_children(self, tmp_path, leaf_children):
         trees = [(two_split_tree(0, 1, 3), 1.0), (split_tree(2, 0.4, -1.0, 1.0, 3), 0.5), (two_split_tree(1, 2, 3), 0.7)]
         path = tmp_path / "model.brtm"
-        save_model(make_manual_model(trees, 3, lr=0.5, f0=0.25), path)
+        clean = make_manual_model(trees, 3, lr=0.5, f0=0.25)
+        save_model(clean, path)
         lines = path.read_text().splitlines()
         for m in range(2, len(lines)):  # a leaf of two_split_tree (node 2) names nodes 3 and 4, as splits do
             stage = json.loads(lines[m])
@@ -626,6 +636,9 @@ class TestLeafChildPlaceholders:
         rep = interaction_report(model, records, "response")
         for (a, b), score in rep.pairwise.items():
             assert close(score, naive_interaction(predict_fn, rows, a, b, list(records.y))), (a, b)
+        for k in range(model.n_stages + 1):
+            assert predict_batch(model, X, k).tobytes() == predict_batch(clean, X, k).tobytes()
+        assert staged_metric(model, records, stride=1) == staged_metric(clean, records, stride=1)
 
 
 class TestResponseShiftInvariance:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,9 +57,19 @@ def test_threshold_variants():
     assert resolve_threshold(a, 7) == 7.0
     with pytest.raises(ValueError):
         resolve_threshold(a, "quartile")
+    for spec in ("value:abc", "value:", "value:nan", "value:inf", "value:-inf", float("nan"), float("inf"), None):
+        with pytest.raises(ValueError, match=f"roc threshold {re.escape(repr(spec))} must be a finite number"):
+            resolve_threshold(a, spec)
     r_med = fit_report(a, a, roc_threshold="median")
     r_val = fit_report(a, a, roc_threshold="value:9")
     assert r_med.roc_auc == 1.0 and r_val.roc_auc == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300) | st.sampled_from((0.0, -0.0, 1.5, 5e-324)), min_size=1, max_size=30))
+def test_median_threshold_equals_np_median(actual):
+    a = np.asarray(actual)
+    assert resolve_threshold(a, "median") == np.median(a)  # a zero's sign may differ, which no comparison sees
 
 
 @settings(max_examples=60, deadline=None)
