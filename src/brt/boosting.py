@@ -216,6 +216,11 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     be missing. Residuals and the line search use only each stage's
     subsample, but the running fit F is maintained on every usable row so
     later subsamples see current values.
+
+    Each stage's tree is written into row m of the model's columns as soon as
+    it is fitted, so the fit holds one copy of the model. The columns are as
+    wide as the largest tree the limits allow, a leaf holding at least
+    min_leaf_obs subsample rows, and are trimmed to the widest tree at the end.
     """
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
@@ -236,17 +241,28 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     rng = SplitMix64(config.seed)
     n_sub = max(2, math.floor(config.subsample_fraction * n))
 
-    stages = []
-    for _ in range(config.n_trees):
+    # A tree has an odd node count within the budget, and at most n_sub // min_leaf_obs leaves.
+    odd_budget = config.max_nodes - 1 + config.max_nodes % 2
+    width = max(1, min(odd_budget, 2 * (n_sub // config.min_leaf_obs) - 1))
+    gamma = np.empty(config.n_trees)
+    count = np.empty(config.n_trees, dtype=np.intp)
+    nodes = {k: np.full((config.n_trees, width), pad, dtype=dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
+    for m in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
         tree = fitter.fit(residual, rows, limits)
         outputs = tree.predict_batch(X)
-        gamma, _ = line_search_gamma(residual[rows], outputs[rows])
-        current += (config.learn_rate * gamma) * outputs
-        stages.append(Stage(tree, gamma))
+        g, _ = line_search_gamma(residual[rows], outputs[rows])
+        current += (config.learn_rate * g) * outputs
+        gamma[m] = g
+        count[m] = tree.node_count
+        for k in NODE_FIELDS:
+            nodes[k][m, : tree.node_count] = getattr(tree, k)
 
-    return BoostedModel.from_stages(f0, stages, config, data.feature_names)
+    widest = int(count.max(initial=1))
+    for k in NODE_FIELDS:  # one column at a time, so the trim holds one spare column at most
+        nodes[k] = np.ascontiguousarray(nodes[k][:, :widest])
+    return BoostedModel(f0, config, tuple(data.feature_names), gamma, count, nodes)
 
 
 def _blocks(ids: np.ndarray, cells: int):

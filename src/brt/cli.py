@@ -181,17 +181,19 @@ def cmd_report(args) -> int:
 
 
 def cmd_pdp(args) -> int:
-    model, data = _load_model_and_table(args)
+    if args.all and (args.feature or args.feature2):
+        raise ValueError("--all cannot be combined with --feature/--feature2")
+    if not args.all and not args.feature:
+        raise ValueError("give --feature NAME (optionally --feature2 NAME) or --all")
+    if args.feature and args.feature == args.feature2:
+        raise ValueError("features must differ")
+    model, data = _load_model_and_table(args)  # after the flag checks: loading a large model takes seconds
     out = _out_dir(args)
     grid = args.grid
 
     if args.all:
-        if args.feature or args.feature2:
-            raise ValueError("--all cannot be combined with --feature/--feature2")
         features = list(model.feature_names)
-    elif args.feature and args.feature2:
-        if args.feature == args.feature2:
-            raise ValueError("features must differ")
+    elif args.feature2:
         j = _feature_index(model, args.feature)
         k = _feature_index(model, args.feature2)
         with _naming(args.model, args.data):
@@ -214,10 +216,8 @@ def cmd_pdp(args) -> int:
         )
         print(f"wrote {stem}.csv / .svg")
         return 0
-    elif args.feature:
-        features = [args.feature]
     else:
-        raise ValueError("give --feature NAME (optionally --feature2 NAME) or --all")
+        features = [args.feature]
 
     for name in features:
         j = _feature_index(model, name)

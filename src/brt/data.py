@@ -160,10 +160,32 @@ def _source_name(source) -> str:
     return str(source)
 
 
+class DecodeError(ValueError):
+    """Bytes that are not UTF-8: ``line`` is the line of the first bad byte, and
+    ``reason`` names the byte."""
+
+    def __init__(self, line: int, byte: int):
+        self.line = line
+        self.reason = f"not UTF-8: cannot decode byte {byte:#04x}"
+        super().__init__(f"line {line}: {self.reason}")
+
+
+def _decode(raw: bytes, first_line: int = 1) -> str:
+    """raw decoded as UTF-8, or a DecodeError; raw starts at line first_line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DecodeError(first_line + raw.count(b"\n", 0, e.start), raw[e.start]) from None
+
+
 def _read_rows(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(row number, cells)] of the rows below it); blank
-    rows are skipped and not counted, and the header is row 1."""
-    text = source.read() if hasattr(source, "read") else Path(source).read_text(encoding="utf-8")
+    rows are skipped and not counted, and the header is row 1. A path is
+    read as Path.read_text reads it, CRLF and lone CR line ends made LF."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = _decode(Path(source).read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]

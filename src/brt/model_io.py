@@ -10,10 +10,11 @@ Layout (UTF-8, one JSON document per line after the version tag):
 
 Stage arrays are node-indexed; feature -1 marks a leaf, whose threshold,
 child, and routing entries are placeholders. A stage line is one row of a
-BoostedModel's columns: save_model writes the rows; load_model parses a
-block of lines at a time and checks their columns whole. Floats are written
-as Python repr (shortest round-trip decimal), so load(save(model)) predicts
-bit-identically. Unknown object fields are ignored with a warning so newer
+BoostedModel's columns: save_model writes the rows a line at a time;
+load_model reads a line at a time, parses a block of lines at a time and
+checks their columns whole, so neither holds the whole document. Floats are
+written as Python repr (shortest round-trip decimal), so load(save(model))
+predicts bit-identically. Unknown object fields are ignored with a warning so newer
 writers stay readable; a different version tag is an error.
 """
 
@@ -25,18 +26,17 @@ import math
 import warnings
 from dataclasses import asdict, fields
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
 from .boosting import BoostConfig, BoostedModel, node_columns
-from .data import _source_name
+from .data import DecodeError, _decode, _source_name
 from .tree import NODE_FIELDS
 
 FORMAT_VERSION = "brtm/1"
 
-# Stage lines parsed at a time: a parsed line is many small objects, about four
-# times its bytes, so reading a block at a time keeps load_model's peak memory low.
+# Stage lines parsed, or written, at a time: a parsed line is many small objects,
+# about four times its bytes, so a block at a time keeps peak memory low.
 _BLOCK = 32
 _HEADER_KEYS = {"config", "feature_names", "f0", "n_stages"}
 _STAGE_KEYS = {"gamma", *NODE_FIELDS}  # NODE_FIELDS' order is also their order on a stage line
@@ -57,20 +57,24 @@ def _dump(obj) -> str:
 
 
 def save_model(model: BoostedModel, sink) -> None:
+    """Write model as a brtm/1 document to a path or a text stream, a line at a
+    time. A path is opened as Path.write_text opens it: text mode, UTF-8."""
+    if not hasattr(sink, "write"):
+        with open(sink, "w", encoding="utf-8") as f:
+            save_model(model, f)
+        return
     header = {
         "config": asdict(model.config),
         "feature_names": list(model.feature_names),
         "f0": model.f0,
         "n_stages": model.n_stages,
     }
-    lines = [FORMAT_VERSION, _dump(header)]
-    for m, (gamma, count) in enumerate(zip(model.gamma.tolist(), model.node_count.tolist())):
-        lines.append(_dump({"gamma": gamma, **{k: model.nodes[k][m, :count].tolist() for k in NODE_FIELDS}}))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    sink.write(f"{FORMAT_VERSION}\n{_dump(header)}\n")
+    for a in range(0, model.n_stages, _BLOCK):
+        rows = {k: model.nodes[k][a : a + _BLOCK].tolist() for k in NODE_FIELDS}
+        counts = model.node_count[a : a + _BLOCK].tolist()
+        for i, gamma in enumerate(model.gamma[a : a + _BLOCK].tolist()):
+            sink.write(_dump({"gamma": gamma, **{k: rows[k][i][: counts[i]] for k in NODE_FIELDS}}) + "\n")
 
 
 def _error(line, message: str) -> ModelParseError:
@@ -111,9 +115,9 @@ def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
         warnings.warn(f"model file line {lineno}: ignoring unknown field(s) {extra}", stacklevel=3)
 
 
-def _stage_columns(objs: list, lines, n_features: int) -> tuple:
-    """gamma, node counts and each NODE_FIELDS array, stage after stage, of
-    parsed stage lines, checked on whole columns; errors name ``lines``. Once
+def _stage_columns(objs: list, lines, n_features: int) -> dict:
+    """``gamma``, node ``count`` and each node column (node_columns) of parsed
+    stage lines, checked on whole columns; errors name ``lines``. Once
     a check fails, load_model checks the lines one at a time, so that the error
     names the first bad line and its first fault, as a line-by-line read does."""
     gamma = np.array([_number(obj, "gamma", lines) for obj in objs], dtype=np.float64)
@@ -153,38 +157,46 @@ def _stage_columns(objs: list, lines, n_features: int) -> tuple:
     bad = np.flatnonzero((parents != 1.0) & (node < end))
     if bad.size:
         raise _error(lines, f"node {int(bad[0]) % feature.shape[1]} is not the child of exactly one split")
-    return gamma, lengths[0], *flat.values()
+    return {"gamma": gamma, "count": lengths[0], **nodes}
 
 
 def load_model(source) -> BoostedModel:
-    """The model in a brtm/1 document at a path or in a text stream. A malformed
-    document raises ModelParseError naming the source and, where there is one,
-    the line."""
+    """The model in a brtm/1 document at a path or in a text stream, read a line
+    at a time; a path's lines end at each b"\\n". A malformed document raises
+    ModelParseError naming the source and, where there is one, the line."""
     try:
-        return _parse_model(source.read() if hasattr(source, "read") else _decode(Path(source).read_bytes()))
+        if hasattr(source, "read"):
+            return _parse_model(enumerate(source, 1))
+        with open(source, "rb") as f:
+            return _parse_model(_decoded(f))
     except ModelParseError as e:
         raise ModelParseError(f"{_source_name(source)}: {e}") from None
 
 
-def _decode(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line = raw.count(b"\n", 0, e.start) + 1
-        raise _error(line, f"not UTF-8: cannot decode byte {raw[e.start]:#04x}") from None
+def _decoded(f):
+    """(line number, text) of each line of the binary file f."""
+    for no, raw in enumerate(f, 1):
+        try:
+            yield no, _decode(raw, no)
+        except DecodeError as e:
+            raise _error(e.line, e.reason) from None
 
 
-def _parse_model(text: str) -> BoostedModel:
-    lines = text.splitlines()
-    if not lines:
+def _parse_model(lines) -> BoostedModel:
+    """The model in the (line number, text) pairs ``lines``, numbered from 1;
+    a line may keep its line end, which JSON reads as whitespace."""
+    first = next(lines, None)
+    if first is None:
         raise _error(1, "empty document")
-    version = lines[0].strip()
+    version = first[1].strip()
     if version != FORMAT_VERSION:
-        raise ModelParseError(f"unsupported model version {version!r} (expected {FORMAT_VERSION!r})")
-    if len(lines) < 2:
+        shown = version if len(version) <= 40 else version[:40] + "..."  # a file without \n is one line
+        raise ModelParseError(f"unsupported model version {shown!r} (expected {FORMAT_VERSION!r})")
+    second = next(lines, None)
+    if second is None:
         raise _error(2, "missing header")
 
-    header = _parse_json_line(lines[1], 2)
+    header = _parse_json_line(second[1], 2)
     _warn_unknown(header, _HEADER_KEYS, 2)
     cfg_obj = _require(header, "config", 2)
     if not isinstance(cfg_obj, dict):
@@ -214,23 +226,42 @@ def _parse_model(text: str) -> BoostedModel:
     if type(n_stages) is not int or n_stages < 0:
         raise _error(2, f"field 'n_stages' must be a non-negative integer, got {n_stages!r}")
 
-    stage_lines = [(i + 3, ln) for i, ln in enumerate(lines[2:]) if ln.strip()]
-    if len(stage_lines) != n_stages:
-        raise ModelParseError(
-            f"model parse error: header declares {n_stages} stages but document has {len(stage_lines)}"
-        )
-    parts = []
-    for start in range(0, max(n_stages, 1), _BLOCK):
-        block = stage_lines[start : start + _BLOCK]
-        try:
-            objs = [_parse_json_line(ln, no) for no, ln in block]
-            parts.append(_stage_columns(objs, f"3-{len(lines)}", len(feature_names)))
-        except ModelParseError:
-            for no, ln in block:  # name the first bad line, as a line-by-line read does
-                _stage_columns([_parse_json_line(ln, no)], no, len(feature_names))
-            raise
-        for (no, _), obj in zip(block, objs):
-            _warn_unknown(obj, _STAGE_KEYS, no)
-    gamma, count, *flat = map(np.concatenate, zip(*parts))
-    nodes = node_columns(count, dict(zip(NODE_FIELDS, flat)))
+    # each block's columns, from an empty one that keeps a model of no stages well typed
+    parts = {k: [column] for k, column in _stage_columns([], 3, len(feature_names)).items()}
+    block, seen = [], 0
+    for no, ln in lines:
+        if not ln.strip():
+            continue
+        seen += 1
+        if seen <= n_stages:  # later lines are only counted, for the message below
+            block.append((no, ln))
+        if len(block) == _BLOCK or seen == n_stages:
+            for k, column in _stage_block(block, len(feature_names)).items():
+                parts[k].append(column)
+            block = []
+    if seen != n_stages:
+        raise ModelParseError(f"model parse error: header declares {n_stages} stages but document has {seen}")
+    gamma, count = (np.concatenate(parts.pop(k)) for k in ("gamma", "count"))
+    nodes = {}
+    for k, (dtype, pad) in NODE_FIELDS.items():  # a field at a time, dropping its blocks once it is built
+        column = nodes[k] = np.full((len(count), int(count.max(initial=1))), pad, dtype=dtype)
+        a = 0
+        for rows in parts.pop(k):
+            column[a : a + len(rows), : rows.shape[1]] = rows
+            a += len(rows)
     return BoostedModel(f0, config, tuple(feature_names), gamma, count, nodes)
+
+
+def _stage_block(block: list, n_features: int) -> dict:
+    """_stage_columns of the (line number, text) stage lines ``block``,
+    warning of unknown fields line by line."""
+    try:
+        objs = [_parse_json_line(ln, no) for no, ln in block]
+        columns = _stage_columns(objs, f"{block[0][0]}-{block[-1][0]}", n_features)
+    except ModelParseError:
+        for no, ln in block:  # name the first bad line, as a line-by-line read does
+            _stage_columns([_parse_json_line(ln, no)], no, n_features)
+        raise
+    for (no, _), obj in zip(block, objs):
+        _warn_unknown(obj, _STAGE_KEYS, no)
+    return columns

@@ -31,7 +31,7 @@ import heapq
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -421,31 +421,38 @@ class TreeFitter:
         return mid if lo <= mid < hi else lo
 
     def _resolve_exact(self, y, sel, n_miss, close, score_l, score_r, slack, best):
-        """Order dust-level rival splits by exact rational score; return the
-        first one's feature, cut position and missing_right.
+        """Order dust-level rival splits by exact score; return the first one's
+        feature, cut position and missing_right.
 
-        Every float64 is a dyadic rational, so Fraction sums are exact; the
-        candidate order is (score desc, feature asc, threshold asc, missing
-        values left first), independent of accumulation order.
+        Every float64 is an integer over a power of two, so the node's targets
+        scaled by their largest denominator are exact integers, and so are their
+        sums: a side's score sum**2/count, and a split's, compares exactly by
+        cross-multiplying. The candidate order is (score desc, feature asc,
+        threshold asc, missing values left first), independent of accumulation
+        order; candidates are visited in that order of their ties, as a
+        feature's valid cuts ascend with their thresholds, so the first of
+        equal scores is kept.
         """
         k = sel.shape[1]
-        candidates = []
-        for f, p in np.argwhere(close):
-            fin_count = int(k - n_miss[f])
-            left = [Fraction(float(y[i])) for i in sel[f, : p + 1]]
-            right = [Fraction(float(y[i])) for i in sel[f, p + 1 : fin_count]]
-            missing = [Fraction(float(y[i])) for i in sel[f, fin_count:]]
-            thr = self._threshold(sel, f, p)
+        ratios = [v.as_integer_ratio() for v in y[sel[0]].tolist()]
+        scale = max(d for _, d in ratios)
+        exact = dict(zip(sel[0].tolist(), [n * (scale // d) for n, d in ratios]))
+        prefix: dict[int, list[int]] = {}  # feature -> sums of its first 1..k targets in value order
+        pick, num, den = None, 0, 1
+        for f, p in np.argwhere(close).tolist():
+            if f not in prefix:
+                prefix[f] = list(accumulate(exact[i] for i in sel[f].tolist()))
+            sums, fin_count = prefix[f], k - int(n_miss[f])
+            s_miss = sums[-1] - sums[fin_count - 1]
             for missing_right, float_score in ((False, score_l[f, p]), (True, score_r[f, p])):
                 if not float_score >= best - slack:
                     continue
-                l, r = (left, right + missing) if missing_right else (left + missing, right)
-                sl = sum(l, Fraction(0))
-                sr = sum(r, Fraction(0))
-                exact = sl * sl / len(l) + sr * sr / len(r)
-                candidates.append((-exact, int(f), thr, missing_right, int(p)))
-        _, f, _, missing_right, p = min(candidates, key=lambda c: c[:4])
-        return f, p, missing_right
+                sl, nl = (sums[p], p + 1) if missing_right else (sums[p] + s_miss, p + 1 + k - fin_count)
+                sr, nr = sums[-1] - sl, k - nl
+                a, b = sl * sl * nr + sr * sr * nl, nl * nr  # the score is a / (b * scale**2)
+                if pick is None or a * den > num * b:
+                    pick, num, den = (f, p, missing_right), a, b
+        return pick
 
 
 def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTree:

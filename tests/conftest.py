@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brt.boosting import BoostConfig, fit_ensemble
 from brt.data import Dataset
+from brt.standin import load_bundled
 
 
 def random_dataset(rng: np.random.Generator, n_rows: int, n_features: int, missing=False) -> Dataset:
@@ -90,3 +93,37 @@ def multiplicative_lattice_model():
         n_trees=3000, learn_rate=0.1, max_nodes=6, min_leaf_obs=1, subsample_fraction=1.0, seed=11
     )
     return fit_ensemble(ds, config), ds
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak bytes of the Python allocations made while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def column_bytes(model) -> int:
+    """Bytes of a model's columns."""
+    return model.gamma.nbytes + model.node_count.nbytes + sum(c.nbytes for c in model.nodes.values())
+
+
+def assert_peak_flat(small, large, extra_small, extra_large):
+    """From the model `small` to the model `large`, the peak bytes a step holds
+    beyond the columns it returns (extra_*) grow by less than half of what the
+    columns grow by: room for one spare column and per-block bookkeeping, not
+    for a second copy of the model or of its text."""
+    growth = column_bytes(large) - column_bytes(small)
+    assert growth > 0
+    assert extra_large - extra_small < growth / 2, (extra_small, extra_large, growth)
+
+
+@pytest.fixture(scope="session")
+def standin_fits():
+    """{stages: (model, peak bytes of its fit)}: flagship fits of 2,000 and 4,000
+    stages on the stand-in table, after a small fit that warms every cache."""
+    ds = load_bundled()
+    fit_ensemble(ds, BoostConfig(n_trees=50))
+    return {n: traced_peak(fit_ensemble, ds, BoostConfig(n_trees=n)) for n in (2000, 4000)}

@@ -19,7 +19,7 @@ from brt.model_io import load_model, save_model
 from brt import tree as tree_module
 from brt.tree import RegressionTree, TreeFitter, TreeLimits
 
-from conftest import random_dataset
+from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
 from oracles import naive_boost, naive_boost_predict
 
 
@@ -220,8 +220,8 @@ def test_saved_model_bytes_match_golden_digest(make_data, config, digest):
     "make_data, config", [m[:2] for m in GOLDEN_MODELS], ids=["flagship-seed1", "flagship-seed2", "nan-13-node"]
 )
 def test_loaded_columns_equal_fitted_columns(make_data, config):
-    """fit_ensemble pads Stages into columns and load_model builds them from
-    the text; both must give the same arrays, and saving again the same bytes."""
+    """fit_ensemble writes each stage into columns and load_model builds them
+    from the text; both must give the same arrays, and saving again the same bytes."""
     fitted = fit_ensemble(make_data(), config)
     buf = io.StringIO()
     save_model(fitted, buf)
@@ -235,6 +235,23 @@ def test_loaded_columns_equal_fitted_columns(make_data, config):
     again = io.StringIO()
     save_model(loaded, again)
     assert again.getvalue() == buf.getvalue()
+
+
+def test_fit_holds_one_copy_of_the_model(standin_fits):
+    """Each stage goes into the columns as it is fitted: no tree object per
+    stage is kept until the end, so doubling the stages doubles only the columns."""
+    (small, peak_small), (large, peak_large) = standin_fits[2000], standin_fits[4000]
+    assert_peak_flat(small, large, peak_small - column_bytes(small), peak_large - column_bytes(large))
+
+
+@pytest.mark.parametrize("max_nodes, min_leaf, width", [(100_001, 3, 13), (100_001, 30, 1), (6, 1, 5)])
+def test_columns_are_as_wide_as_the_data_allows(max_nodes, min_leaf, width):
+    """A leaf holds at least min_leaf of the 23 subsample rows, so a large node
+    budget allocates no more than those leaves need."""
+    config = BoostConfig(n_trees=50, max_nodes=max_nodes, min_leaf_obs=min_leaf)
+    model, peak = traced_peak(fit_ensemble, _standin(), config)
+    assert model.nodes["feature"].shape == (50, width)
+    assert peak < 2 << 20
 
 
 def _assert_same_tree(a, b):

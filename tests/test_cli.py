@@ -84,6 +84,15 @@ class TestTrain:
         assert f"roc threshold {spec!r}" in err
         assert not (out / "model.brtm").exists()
 
+    def test_non_utf8_table_names_file_and_line(self, tmp_path, capsys, toy_table):
+        lines = toy_table.read_bytes().split(b"\n")
+        lines[2] = lines[2] + b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code, _, err = run(["train", str(bad), "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert err == f"error: {bad}: line 3: not UTF-8: cannot decode byte 0xff\n"
+
     def test_byte_identical_reruns(self, tmp_path, capsys, toy_table):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(["train", str(toy_table), "--out", str(out_a)] + TRAIN_FLAGS, capsys)[0] == 0
@@ -278,6 +287,23 @@ class TestPdp:
         )
         assert code == 1
         assert "features must differ" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--all", "--feature", "alpha"], "--all cannot be combined with --feature/--feature2"),
+            (["--all", "--feature2", "beta"], "--all cannot be combined with --feature/--feature2"),
+            (["--feature", "alpha", "--feature2", "alpha"], "features must differ"),
+            (["--feature2", "beta"], "give --feature NAME (optionally --feature2 NAME) or --all"),
+            ([], "give --feature NAME (optionally --feature2 NAME) or --all"),
+        ],
+        ids=["all-feature", "all-feature2", "same-twice", "feature2-only", "none"],
+    )
+    def test_flags_are_checked_before_loading(self, tmp_path, capsys, flags, message):
+        """Neither file exists: the flag message shows that nothing was read."""
+        code, _, err = run(["pdp", str(tmp_path / "none.brtm"), str(tmp_path / "none.csv"), *flags], capsys)
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     def test_unknown_feature_lists_valid_names(self, capsys, trained):
         out, table = trained

@@ -135,6 +135,30 @@ class TestLoadModelTable:
         assert np.array_equal(back.X, ds.X, equal_nan=True)
         assert np.array_equal(back.y, ds.y)
 
+    def test_crlf_and_cr_line_ends_read_like_lf(self, tmp_path):
+        path = tmp_path / "t.csv"
+        for end in (b"\r\n", b"\r"):
+            path.write_bytes(end.join([b"year,FCPI,MSP", b"2002,1.0,2.0", b"", b"2003,1.5,NA", b""]))
+            ds = load_model_table(path)
+            assert ds.years == (2002, 2003) and ds.y.tolist() == [1.0, 1.5]
+
+
+@pytest.mark.parametrize(
+    "load, text, byte",
+    [
+        (load_model_table, b"year,FCPI,MSP\n2002,1.0,2.0\n\n2003,1.5,\xff\n", "0xff"),
+        (load_series_csv, b"year,index\n2002,1.0\n\n2003,1.5\xe9\n", "0xe9"),
+        (load_weights_csv, b"item,weight\na,1\n\nb\xc3,2\n", "0xc3"),
+    ],
+    ids=["model-table", "series", "weights"],
+)
+def test_non_utf8_csv_names_file_and_line(tmp_path, load, text, byte):
+    """The line counts every line, the blank one too."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 4: not UTF-8: cannot decode byte {byte}$"):
+        load(path)
+
 
 class TestLoadSeriesCsv:
     def test_schema_enforced(self):

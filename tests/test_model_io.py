@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from brt.boosting import BoostConfig, fit_ensemble, predict, predict_batch
 from brt.model_io import FORMAT_VERSION, ModelParseError, load_model, save_model
+from brt.tree import NODE_FIELDS
 
-from conftest import random_dataset
+from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -393,3 +397,100 @@ def test_unreachable_or_shared_node_rejected(fitted, feature, left, right, node)
              "left": left, "right": right, "value": [50.0] * n, "improvement": [1.0] * n}
     with pytest.raises(ModelParseError, match=rf"at line 4: node {node} is not the child of exactly one split"):
         load_model(_doc(model, [_split_stage(), stage, _split_stage()]))
+
+
+def _reference_text(model) -> str:
+    """The brtm/1 document of model, built whole: the bytes save_model must write."""
+    dump = lambda obj: json.dumps(obj, separators=(",", ":"), allow_nan=False)  # noqa: E731
+    header = {
+        "config": dataclasses.asdict(model.config),
+        "feature_names": list(model.feature_names),
+        "f0": model.f0,
+        "n_stages": model.n_stages,
+    }
+    lines = [FORMAT_VERSION, dump(header)]
+    for stage in model.stages:
+        tree = stage.tree
+        nodes = {k: getattr(tree, k).tolist() for k in NODE_FIELDS}
+        lines.append(dump({"gamma": stage.gamma, **nodes}))
+    return "\n".join(lines) + "\n"
+
+
+def test_save_streams_lines_and_writes_the_reference_bytes(tmp_path, standin_fits):
+    """save_model writes a line at a time: its peak memory does not grow with
+    the stage count, and the file holds the whole-document reference's bytes."""
+    peaks = {}
+    for n, (model, _) in standin_fits.items():
+        path = tmp_path / f"{n}.brtm"
+        _, peaks[n] = traced_peak(save_model, model, path)
+        assert path.read_bytes() == _reference_text(model).encode("utf-8")
+    assert_peak_flat(standin_fits[2000][0], standin_fits[4000][0], peaks[2000], peaks[4000])
+
+
+def test_load_streams_lines_and_holds_one_copy(tmp_path, standin_fits):
+    """load_model reads a line at a time and builds the columns a field at a
+    time: its peak beyond the columns it returns does not grow with the stage count."""
+    extra, loaded = {}, {}
+    for n, (model, _) in standin_fits.items():
+        path = tmp_path / f"{n}.brtm"
+        save_model(model, path)
+        loaded[n], peak = traced_peak(load_model, path)
+        extra[n] = peak - column_bytes(loaded[n])
+        for k in NODE_FIELDS:
+            np.testing.assert_array_equal(loaded[n].nodes[k], model.nodes[k])
+    assert_peak_flat(loaded[2000], loaded[4000], extra[2000], extra[4000])
+
+
+def _saved(tmp_path, text: bytes) -> Path:
+    path = tmp_path / "m.brtm"
+    path.write_bytes(text)
+    return path
+
+
+def _same_model(a, b):
+    assert (a.f0, a.config, a.feature_names) == (b.f0, b.config, b.feature_names)
+    pairs = [(a.gamma, b.gamma), (a.node_count, b.node_count)] + [(a.nodes[k], b.nodes[k]) for k in NODE_FIELDS]
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def test_crlf_file_loads_and_cr_alone_ends_no_line(tmp_path, fitted):
+    model, _ = fitted
+    text = _reference_text(model).encode("utf-8")
+    _same_model(load_model(_saved(tmp_path, text.replace(b"\n", b"\r\n"))), model)
+    with pytest.raises(ModelParseError, match="unsupported model version") as info:
+        load_model(_saved(tmp_path, text.replace(b"\n", b"\r")))  # one line: the message shows its start only
+    assert str(info.value).endswith("...' (expected 'brtm/1')") and len(str(info.value)) < 200
+
+
+def test_blank_lines_are_skipped_and_counted(tmp_path, fitted):
+    model, _ = fitted
+    lines = _reference_text(model).encode("utf-8").split(b"\n")
+    lines[5:5] = [b"", b"  \t", b"\r"]  # three blank lines among the stages: 3 + 60 stage lines
+    lines.append(b"")
+    path = _saved(tmp_path, b"\n".join(lines))
+    _same_model(load_model(path), model)
+    lines[-3:-3] = [lines[2]]  # one stage line more than the header declares
+    with pytest.raises(ModelParseError, match="declares 60 stages but document has 61"):
+        load_model(_saved(tmp_path, b"\n".join(lines)))
+    del lines[2:4]  # one fewer
+    with pytest.raises(ModelParseError, match="declares 60 stages but document has 59"):
+        load_model(_saved(tmp_path, b"\n".join(lines)))
+
+
+def test_bad_byte_on_line_40_of_100_stages(tmp_path, fitted):
+    model, _ = fitted
+    doc = _doc(model, [_split_stage() for _ in range(100)]).getvalue().encode("utf-8")
+    lines = doc.split(b"\n")
+    lines[39] = lines[39][:12] + b"\xfe" + lines[39][12:]
+    path = _saved(tmp_path, b"\n".join(lines))
+    message = "model parse error at line 40: not UTF-8: cannot decode byte 0xfe"
+    with pytest.raises(ModelParseError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_model(path)
+    # A stage-count mismatch is found at the end of the document, after the bad line.
+    header = json.loads(lines[1])
+    header["n_stages"] = 150
+    lines[1] = json.dumps(header).encode("utf-8")
+    with pytest.raises(ModelParseError, match="at line 40: not UTF-8"):
+        load_model(_saved(tmp_path, b"\n".join(lines)))

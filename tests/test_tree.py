@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from brt.tree import (
     MIN_IMPROVEMENT_FRACTION,
@@ -329,3 +329,41 @@ def test_property_routing_matches_naive_walker(case):
     expected = [naive_flat_leaf(*arrays, row) for row in rows]
     assert tree.leaf_assignments(X).tolist() == expected
     assert tree.predict_batch(X).tolist() == [float(i) for i in expected]
+
+
+@st.composite
+def forced_ties(draw):
+    """Rows whose best splits tie exactly: a column and its duplicate, with
+    NaN cells in both, and two columns that each isolate the same record (as
+    the largest value of one and the smallest of the other) in a value order
+    unlike the others', so their float scores differ by summation dust alone."""
+    n = draw(st.integers(4, 10))
+    y = draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n))
+    base = [float(v) for v in draw(st.permutations(range(n)))]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        base[i] = math.nan
+    record = draw(st.integers(0, n - 1))
+    high = [float(v) for v in draw(st.permutations(range(n)))]
+    high[record] = float(n)
+    low = [float(v) for v in draw(st.permutations(range(n)))]
+    low[record] = -1.0
+    columns = [base, base, high, low]
+    order = draw(st.permutations(range(len(columns))))
+    return np.array([columns[j] for j in order]).T, np.array(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forced_ties())
+def test_property_exact_ties_follow_the_rational_order(case):
+    """The root split equals the best of an exhaustive enumeration ranked by
+    Fraction scores: ties go to the lowest feature, then the lowest threshold,
+    then missing values on the left."""
+    X, y = case
+    splits = enumerate_splits(X.tolist(), y.tolist(), list(range(len(y))), 1)
+    q = float(np.sum(y * y))
+    assume(splits and splits[0][2] > 1e-9 * q)  # clear of the dust guard, which rounds the gain
+    f, thr, _, direction, _, _ = splits[0]
+    tree = fit_tree(X, y, TreeLimits(3, 1))
+    assert (int(tree.feature[0]), float(tree.threshold[0]), bool(tree.missing_right[0])) == (
+        f, thr, direction == "right"
+    )
