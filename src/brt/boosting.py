@@ -121,12 +121,17 @@ class BoostedModel:
     @cached_property
     def structure(self) -> np.ndarray:
         """Structure id of each stage, numbered by first use: stages share one when
-        their node counts and ROUTING rows match, thresholds bit for bit."""
+        their node counts and ROUTING rows match, thresholds bit for bit. Rows are
+        keyed a block of stages at a time, so only distinct keys outlive a block."""
         routing = [self.nodes[k].view(np.int64) if k == "threshold" else self.nodes[k] for k in ROUTING]
-        keys = np.column_stack([self.node_count, *routing])
         ids: dict[bytes, int] = {}
-        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
-        return np.array([ids.setdefault(r, len(ids)) for r in rows], dtype=np.intp)
+        structure = np.empty(self.n_stages, dtype=np.intp)
+        # cells per stage: an int64 key row and a bytes copy of it
+        for block in _blocks(range(self.n_stages), 16 * (1 + len(ROUTING) * self.nodes["feature"].shape[1])):
+            keys = np.column_stack([self.node_count[block], *(r[block] for r in routing)])
+            rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+            structure[block] = [ids.setdefault(r, len(ids)) for r in rows]
+        return structure
 
     @cached_property
     def structure_tables(self) -> dict[str, np.ndarray]:
@@ -136,10 +141,8 @@ class BoostedModel:
         the file held there; ``leaf``, true at its leaves; and ``table``, the
         scaled values of its stages' leaves summed in stage order, 0 off the
         leaves."""
-        first: dict[int, int] = {}  # id -> its first stage, in id order
-        for m, sid in enumerate(self.structure.tolist()):
-            first.setdefault(sid, m)
-        rows = list(first.values())
+        # ids are numbered by first use: id s first appears where the running maximum reaches s
+        rows = np.searchsorted(np.maximum.accumulate(self.structure), np.arange(self.structure.max(initial=-1) + 1))
         columns = {k: self.nodes[k][rows] for k in ROUTING}
         for k in ("left", "right"):
             columns[k] = np.where(columns["feature"] >= 0, columns[k], -1)
@@ -265,9 +268,9 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     return BoostedModel(f0, config, tuple(data.feature_names), gamma, count, nodes)
 
 
-def _blocks(ids: np.ndarray, cells: int):
-    """Consecutive runs of the structure ids `ids`, each as many as fit in
-    BLOCK_CELLS when one structure's temporaries take `cells` cells."""
+def _blocks(ids, cells: int):
+    """Consecutive runs of the structure (or stage) ids `ids`, each as many as
+    fit in BLOCK_CELLS when one id's temporaries take `cells` cells."""
     size = max(1, BLOCK_CELLS // max(cells, 1))
     return [ids[a : a + size] for a in range(0, len(ids), size)]
 

@@ -88,9 +88,7 @@ def relative_influence(model: BoostedModel) -> InfluenceReport:
     Every stage contributes on the same scale (improvements are measured
     on each stage's own residuals). Percentages sum to 100.
     """
-    totals = np.zeros(model.n_features)
-    for stage in model.stages:
-        totals += split_improvements(stage.tree)
+    totals = split_improvements(model.nodes["feature"], model.nodes["improvement"], model.n_features)
     grand = float(totals.sum())
     if grand <= 0.0:
         raise ValueError("no splits to attribute")

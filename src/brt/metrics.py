@@ -33,17 +33,13 @@ class FitReport:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank; a NaN ties with nothing."""
     order = np.argsort(values, kind="stable")
+    v = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))  # where each run of equal values starts
+    ends = np.append(starts[1:], len(v)) - 1
     ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

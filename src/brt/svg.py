@@ -81,24 +81,32 @@ class _Scale:
         return self.out_lo + frac * (self.out_hi - self.out_lo)
 
 
-def _axes(doc: _Doc, xs: _Scale, ys: _Scale, x_label: str, y_label: str) -> None:
+def _axes(doc: _Doc, xs: _Scale, x_ticks, x_label: str, ys: _Scale | None = None, y_label: str | None = None) -> None:
+    """The x axis with ticks at x_ticks, the y axis and its ticks when ys is given, then the labels."""
     x0, x1 = MARGIN_L, MARGIN_L + PLOT_W
     y0, y1 = MARGIN_T + PLOT_H, MARGIN_T
     doc.add(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="#333333"/>')
-    doc.add(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333"/>')
-    for t in _ticks(xs.lo, xs.hi):
+    if ys is not None:
+        doc.add(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="#333333"/>')
+    for t in x_ticks:
         px = xs(t)
         doc.add(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="#333333"/>')
         doc.add(f'<text x="{px:.2f}" y="{y0 + 18}" font-size="11" text-anchor="middle">{_fmt(t)}</text>')
-    for t in _ticks(ys.lo, ys.hi):
+    for t in _ticks(ys.lo, ys.hi) if ys is not None else ():
         py = ys(t)
         doc.add(f'<line x1="{x0 - 4}" y1="{py:.2f}" x2="{x0}" y2="{py:.2f}" stroke="#333333"/>')
         doc.add(f'<text x="{x0 - 7}" y="{py + 4:.2f}" font-size="11" text-anchor="end">{_fmt(t)}</text>')
+    _labels(doc, x_label, y_label)
+
+
+def _labels(doc: _Doc, x_label: str, y_label: str | None) -> None:
+    """The x label below the plot and, when given, the y label rotated along its left side."""
     doc.add(f'<text x="{MARGIN_L + PLOT_W / 2:.6g}" y="{HEIGHT - 14}" font-size="12" text-anchor="middle">{_esc(x_label)}</text>')
-    doc.add(
-        f'<text x="16" y="{MARGIN_T + PLOT_H / 2:.6g}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {MARGIN_T + PLOT_H / 2:.6g})">{_esc(y_label)}</text>'
-    )
+    if y_label is not None:
+        doc.add(
+            f'<text x="16" y="{MARGIN_T + PLOT_H / 2:.6g}" font-size="12" text-anchor="middle" '
+            f'transform="rotate(-90 16 {MARGIN_T + PLOT_H / 2:.6g})">{_esc(y_label)}</text>'
+        )
 
 
 def line_chart(path, title: str, x, series: list[tuple[str, np.ndarray]], x_label: str, y_label: str) -> None:
@@ -110,7 +118,7 @@ def line_chart(path, title: str, x, series: list[tuple[str, np.ndarray]], x_labe
     ylo, yhi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
     xs = _Scale(float(x.min()), float(x.max()), MARGIN_L, MARGIN_L + PLOT_W)
     ys = _Scale(ylo, yhi, MARGIN_T + PLOT_H, MARGIN_T)
-    _axes(doc, xs, ys, x_label, y_label)
+    _axes(doc, xs, _ticks(xs.lo, xs.hi), x_label, ys, y_label)
     for i, (name, vals) in enumerate(series):
         vals = np.asarray(vals, dtype=np.float64)
         pts = " ".join(f"{xs(a):.2f},{ys(b):.2f}" for a, b in zip(x, vals) if math.isfinite(b))
@@ -139,13 +147,7 @@ def bar_chart(path, title: str, labels: list[str], values, x_label: str) -> None
         )
         doc.add(f'<text x="{MARGIN_L - 7}" y="{top + bar_h / 2 + 4:.2f}" font-size="12" text-anchor="end">{_esc(label)}</text>')
         doc.add(f'<text x="{xs(v) + 5:.2f}" y="{top + bar_h / 2 + 4:.2f}" font-size="11">{v:.2f}</text>')
-    y0 = MARGIN_T + PLOT_H
-    doc.add(f'<line x1="{MARGIN_L}" y1="{y0}" x2="{MARGIN_L + PLOT_W}" y2="{y0}" stroke="#333333"/>')
-    for t in _ticks(0.0, vmax):
-        px = xs(t)
-        doc.add(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y0 + 4}" stroke="#333333"/>')
-        doc.add(f'<text x="{px:.2f}" y="{y0 + 18}" font-size="11" text-anchor="middle">{_fmt(t)}</text>')
-    doc.add(f'<text x="{MARGIN_L + PLOT_W / 2:.6g}" y="{HEIGHT - 14}" font-size="12" text-anchor="middle">{_esc(x_label)}</text>')
+    _axes(doc, xs, _ticks(0.0, vmax), x_label)
     doc.write(path)
 
 
@@ -186,10 +188,6 @@ def heatmap(path, title: str, grid_x, grid_y, values: np.ndarray, x_label: str, 
     for j in range(0, len(gy), step_y):
         py = MARGIN_T + PLOT_H - (j + 0.5) * cell_h
         doc.add(f'<text x="{MARGIN_L - 7}" y="{py + 4:.2f}" font-size="10" text-anchor="end">{_fmt(float(gy[j]))}</text>')
-    doc.add(f'<text x="{MARGIN_L + PLOT_W / 2:.6g}" y="{HEIGHT - 14}" font-size="12" text-anchor="middle">{_esc(x_label)}</text>')
-    doc.add(
-        f'<text x="16" y="{MARGIN_T + PLOT_H / 2:.6g}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {MARGIN_T + PLOT_H / 2:.6g})">{_esc(y_label)}</text>'
-    )
+    _labels(doc, x_label, y_label)
     doc.add(f'<text x="{MARGIN_L + PLOT_W - 6}" y="{MARGIN_T + 16}" font-size="11" text-anchor="end">range ±{span:.4g}</text>')
     doc.write(path)

@@ -127,12 +127,16 @@ def predict_tree(tree: RegressionTree, sample) -> float:
     return float(tree.predict_batch(x[None, :])[0])
 
 
-def split_improvements(tree: RegressionTree) -> np.ndarray:
-    """Per-feature totals of split improvement; zeros for unused features."""
-    out = np.zeros(tree.n_features, dtype=np.float64)
-    internal = tree.feature >= 0
-    np.add.at(out, tree.feature[internal], tree.improvement[internal])
-    return out
+def split_improvements(tree: RegressionTree | np.ndarray, improvement=None, n_features=None) -> np.ndarray:
+    """Per-feature split improvement totals of a RegressionTree, or of stages' feature and improvement
+    columns over n_features: each stage's splits in node order, then a running sum in stage order."""
+    if isinstance(tree, RegressionTree):
+        tree, improvement, n_features = tree.feature, tree.improvement, tree.n_features
+    feature, improvement = np.atleast_2d(tree, improvement)
+    stage, node = np.nonzero(feature >= 0)
+    totals = np.zeros((len(feature) + 1, n_features))  # row 0 starts the running sum
+    np.add.at(totals, (stage + 1, feature[stage, node]), improvement[stage, node])
+    return np.add.accumulate(totals, out=totals)[-1]
 
 
 class _LRU:

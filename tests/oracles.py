@@ -212,3 +212,33 @@ def naive_interaction(predict_fn, X_rows, j, k, denominator_ref):
     ref_mean = sum(denominator_ref) / len(denominator_ref)
     den = sum((v - ref_mean) ** 2 for v in denominator_ref)
     return 100.0 * sum(v * v for v in d) / den
+
+
+def stage_influence(stages, n_features):
+    """Split improvements per feature over `stages`, (feature, improvement)
+    node lists: each stage's splits added in node order into its own totals,
+    which are then added into the running totals in stage order."""
+    totals = [0.0] * n_features
+    for feature, improvement in stages:
+        own = [0.0] * n_features
+        for f, gain in zip(feature, improvement):
+            if f >= 0:
+                own[f] += gain
+        totals = [t + o for t, o in zip(totals, own)]
+    return totals
+
+
+def average_ranks(values):
+    """1-based ranks, ties sharing their average rank. A NaN equals nothing
+    and ranks after every number, NaNs in the order given."""
+    numbers = [v for v in values if not math.isnan(v)]
+    ranks, nans = [], 0
+    for v in values:
+        if math.isnan(v):
+            nans += 1
+            ranks.append(float(len(numbers) + nans))
+        else:
+            below = sum(1 for u in numbers if u < v)
+            tied = sum(1 for u in numbers if u == v)
+            ranks.append(below + (tied + 1) / 2)
+    return ranks

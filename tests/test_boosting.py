@@ -6,8 +6,10 @@ import pytest
 
 from brt import boosting
 from brt.boosting import (
+    BLOCK_CELLS,
     ROUTING,
     BoostConfig,
+    BoostedModel,
     fit_ensemble,
     line_search_gamma,
     predict,
@@ -512,3 +514,42 @@ class TestPackedPrediction:
         monkeypatch.setattr(RegressionTree, "__init__", refuse)
         assert (predict_batch(model, data.X).tobytes(), staged_metric(model, data).points) == want
         assert predict(model, data.X[0]) == predict_batch(model, data.X)[0]
+
+
+def _tiled(model, n_stages):
+    """The model whose stage m is `model`'s stage m mod its stage count, built from its columns."""
+    m = np.arange(n_stages) % model.n_stages
+    nodes = {k: c[m] for k, c in model.nodes.items()}
+    return BoostedModel(model.f0, model.config, model.feature_names, model.gamma[m], model.node_count[m], nodes)
+
+
+class TestStructureIds:
+    def test_ids_match_a_dict_reference_without_a_transient_that_grows(self, standin_model):
+        model, _ = standin_model
+        large = _tiled(model, 40_000)
+        ids: dict = {}
+        want = [
+            ids.setdefault((int(large.node_count[m]), *(large.nodes[k][m].tobytes() for k in ROUTING)), len(ids))
+            for m in range(large.n_stages)
+        ]
+        extra = {}  # peak bytes beyond the ids returned
+        for tiled in (_tiled(model, 20_000), large):
+            structure, peak = traced_peak(lambda: tiled.structure)
+            assert structure.tolist() == want[: tiled.n_stages]
+            extra[tiled.n_stages] = peak - structure.nbytes
+        # a key row and its bytes per stage, held for all stages at once, would add about 9 MB here
+        assert extra[40_000] - extra[20_000] < BLOCK_CELLS, extra
+
+    def test_structure_tables_rows_are_first_use_stages(self, standin_model):
+        model, _ = standin_model
+        for m in (model, _tiled(model, 0)):
+            first: dict = {}
+            for stage, sid in enumerate(m.structure.tolist()):
+                first.setdefault(sid, stage)
+            rows = list(first.values())
+            tables = m.structure_tables
+            assert len(rows) == len(tables["feature"]) == m.structure.max(initial=-1) + 1
+            for k in ("feature", "threshold", "missing_right"):
+                np.testing.assert_array_equal(tables[k], m.nodes[k][rows])
+            filled = np.arange(m.nodes["feature"].shape[1]) < m.node_count[rows][:, None]
+            np.testing.assert_array_equal(tables["leaf"], (m.nodes["feature"][rows] < 0) & filled)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brt import interpret
+from brt import cli, interpret
 from brt.cli import main
 from brt.interpret import MAX_GRID_POINTS
 from brt.data import Dataset, load_model_table, write_model_table
@@ -65,6 +65,16 @@ class TestTrain:
         assert code == 0
         r2_line = [ln for ln in stdout.splitlines() if "R-sq" in ln][0]
         assert float(r2_line.split()[-1]) == 0.0
+
+    def test_memory_error_exits_1_with_its_message(self, tmp_path, capsys, toy_table, monkeypatch):
+        message = "Unable to allocate 3.73 TiB for an array with shape (100000000000, 5) and data type float64"
+
+        def no_memory(data, config):  # stands in for a fit whose columns do not fit in memory
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "fit_ensemble", no_memory)
+        code, _, err = run(["train", str(toy_table), "--out", str(tmp_path / "big"), "--trees", "100000000000"], capsys)
+        assert (code, err) == (1, f"error: {message}\n")
 
     def test_missing_input_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

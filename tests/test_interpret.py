@@ -21,7 +21,8 @@ from brt.model_io import load_model, save_model
 from brt.tree import RegressionTree
 
 from conftest import lattice_dataset, random_dataset
-from oracles import naive_flat_leaf, naive_interaction, naive_pd_1d, naive_pd_2d
+from oracles import naive_flat_leaf, naive_interaction, naive_pd_1d, naive_pd_2d, stage_influence
+from test_boosting import GOLDEN_MODELS
 
 
 def make_manual_model(trees_gammas, n_features, lr=1.0, f0=0.0):
@@ -106,6 +107,53 @@ class TestRelativeInfluence:
         ]
         rep = relative_influence(make_manual_model(trees, 3))
         assert [name for name, _ in rep.ranked()] == ["x2", "x1", "x0"]
+
+
+    def test_builds_no_tree_and_sums_the_columns_once(self, monkeypatch):
+        model = fit_ensemble(random_dataset(np.random.default_rng(8), 30, 3), BoostConfig(n_trees=40, seed=2))
+        want = relative_influence(model)
+        calls = []
+        real = interpret.split_improvements
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("relative_influence built a RegressionTree")
+
+        monkeypatch.setattr(interpret, "split_improvements", counted)
+        monkeypatch.setattr(RegressionTree, "__init__", refuse)
+        assert relative_influence(model) == want
+        assert len(calls) == 1
+
+
+def _one_feature_data():
+    rng = np.random.default_rng(21)
+    return Dataset.from_arrays(rng.uniform(-1.0, 1.0, size=(30, 1)), rng.normal(size=30))
+
+
+# The golden fits (the 13-node one splits twice on one feature in 59 of its 60
+# trees) and a one-feature fit, whose totals are a single column: numpy sums a
+# column of 100 or more stages pairwise unless asked for a running sum.
+INFLUENCE_FITS = [m[:2] for m in GOLDEN_MODELS] + [
+    (_one_feature_data, BoostConfig(n_trees=400, learn_rate=0.1, max_nodes=13, min_leaf_obs=1, seed=4))
+]
+
+
+@pytest.mark.parametrize("make_data, config", INFLUENCE_FITS, ids=["flagship-seed1", "flagship-seed2", "nan-13-node", "one-feature"])
+def test_influence_totals_bit_equal_the_per_stage_oracle(make_data, config):
+    model = fit_ensemble(make_data(), config)
+    stages = [
+        (model.nodes["feature"][m, :count].tolist(), model.nodes["improvement"][m, :count].tolist())
+        for m, count in enumerate(model.node_count.tolist())
+    ]
+    want = np.array(stage_influence(stages, model.n_features))
+    got = interpret.split_improvements(model.nodes["feature"], model.nodes["improvement"], model.n_features)
+    assert got.tobytes() == want.tobytes()
+    assert relative_influence(model).percent == tuple((100.0 * want / float(want.sum())).tolist())
+    if config.max_nodes == 13 and model.n_features > 1:
+        assert any(np.bincount(row[row >= 0]).max() > 1 for row in model.nodes["feature"])
 
 
 class TestPartialDependence:

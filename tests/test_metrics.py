@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brt.metrics import FitReport, fit_report, resolve_threshold, roc_auc
+from brt.metrics import FitReport, _average_ranks, fit_report, resolve_threshold, roc_auc
+
+from oracles import average_ranks
 
 
 def test_perfect_fit():
@@ -107,3 +109,19 @@ def test_mad_at_most_root_mse(actual, seed):
 def test_report_rows_for_printing():
     r = FitReport(mse=0.1, mad=0.2, r_squared=0.9, roc_auc=0.8, n=5)
     assert [name for name, _ in r.rows()] == ["MSE", "MAD", "R-sq", "ROC AUC"]
+
+
+def test_average_ranks_pinned_example():
+    nan = float("nan")
+    assert _average_ranks(np.array([1, nan, 1, nan, 0.5])).tolist() == [2.5, 4, 2.5, 5, 1]
+
+
+# Ties, both signed zeros, infinities and NaN, which ties with nothing (not even another NaN).
+RANK_CELLS = (0.0, -0.0, 1.0, 0.5, -2.0, float("inf"), float("-inf"), float("nan"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(RANK_CELLS), st.floats()), max_size=40))
+def test_average_ranks_match_brute_force_oracle(cells):
+    got = _average_ranks(np.array(cells, dtype=np.float64))
+    assert got.tobytes() == np.array(average_ranks(cells), dtype=np.float64).tobytes()
