@@ -61,10 +61,7 @@ class BoostConfig:
             raise ValueError("n_trees must be >= 0")
         if not 0.0 <= self.learn_rate <= 1.0:
             raise ValueError("learn_rate must be in [0, 1]")
-        if self.max_nodes < 3:
-            raise ValueError("max_nodes must be at least 3")
-        if self.min_leaf_obs < 1:
-            raise ValueError("min_leaf_obs must be at least 1")
+        TreeLimits(self.max_nodes, self.min_leaf_obs)  # checks both
         if not 0.0 < self.subsample_fraction <= 1.0:
             raise ValueError("subsample_fraction must be in (0, 1]")
         if self.loss != "least_squares":
@@ -220,10 +217,10 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     subsample, but the running fit F is maintained on every usable row so
     later subsamples see current values.
 
-    Each stage's tree is written into row m of the model's columns as soon as
-    it is fitted, so the fit holds one copy of the model. The columns are as
-    wide as the largest tree the limits allow, a leaf holding at least
-    min_leaf_obs subsample rows, and are trimmed to the widest tree at the end.
+    The fitter writes each stage's tree into its row of the model's columns
+    and returns every row's leaf, so the fit holds one copy of the model. The
+    columns are as wide as the largest tree the limits allow, a leaf holding at
+    least min_leaf_obs subsample rows, and are trimmed to the widest tree at the end.
     """
     X = np.asarray(data.X, dtype=np.float64)
     y = np.asarray(data.y, dtype=np.float64)
@@ -253,19 +250,30 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     for m in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
-        tree = fitter.fit(residual, rows, limits)
-        outputs = tree.predict_batch(X)
+        row = {k: column[m] for k, column in nodes.items()}
+        count[m], leaf = fitter.fit(residual, rows, limits, row)
+        outputs = row["value"][leaf]
         g, _ = line_search_gamma(residual[rows], outputs[rows])
         current += (config.learn_rate * g) * outputs
         gamma[m] = g
-        count[m] = tree.node_count
-        for k in NODE_FIELDS:
-            nodes[k][m, : tree.node_count] = getattr(tree, k)
 
     widest = int(count.max(initial=1))
     for k in NODE_FIELDS:  # one column at a time, so the trim holds one spare column at most
         nodes[k] = np.ascontiguousarray(nodes[k][:, :widest])
     return BoostedModel(f0, config, tuple(data.feature_names), gamma, count, nodes)
+
+
+def _usable_rows(model: BoostedModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """data's X and y as floats, on the rows whose response is finite; a
+    ValueError when X lacks the model's features or no row is left."""
+    X = np.asarray(data.X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError("feature count mismatch")
+    y = np.asarray(data.y, dtype=np.float64)
+    usable = np.isfinite(y)
+    if not usable.any():
+        raise ValueError("empty learn sample")
+    return X[usable], y[usable]
 
 
 def _blocks(ids, cells: int):
@@ -358,16 +366,8 @@ def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | 
     if stride < 1:
         raise ValueError("stride must be >= 1")
 
-    X = np.asarray(data.X, dtype=np.float64)
-    y = np.asarray(data.y, dtype=np.float64)
-    usable = np.isfinite(y)
-    X, y = X[usable], y[usable]
+    X, y = _usable_rows(model, data)
     n = len(y)
-    if n == 0:
-        raise ValueError("empty learn sample")
-    if X.shape[1] != model.n_features:
-        raise ValueError("feature count mismatch")
-
     y_mean = float(y.sum()) / n
     sst = float(((y - y_mean) ** 2).sum())
     points = []

@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .boosting import BoostedModel, _blocks, _pass_table, predict_batch
+from .boosting import BoostedModel, _blocks, _pass_table, _usable_rows, predict_batch
 from .tree import split_improvements
 
 # The most points one profile or surface may have (a 1024 x 1024 surface), checked
@@ -94,16 +94,6 @@ def relative_influence(model: BoostedModel) -> InfluenceReport:
         raise ValueError("no splits to attribute")
     percent = 100.0 * totals / grand
     return InfluenceReport(model.feature_names, tuple(float(p) for p in percent))
-
-
-def _usable_rows(model: BoostedModel, data) -> np.ndarray:
-    X = np.asarray(data.X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError("feature count mismatch")
-    X = X[np.isfinite(np.asarray(data.y, dtype=np.float64))]
-    if X.shape[0] == 0:
-        raise ValueError("empty learn sample")
-    return X
 
 
 def _check_features(model: BoostedModel, *features: int) -> None:
@@ -173,7 +163,7 @@ def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], poi
 
 def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=None) -> PDProfile:
     """Centered mean-response curve for one feature (brute-force contract)."""
-    X = _usable_rows(model, data)
+    X, _ = _usable_rows(model, data)
     _check_features(model, feature)
     grid = _resolve_grid(X, feature, _grid_size(grid_spec, 1))
     raw = _pd_means(model, X, (feature,), grid[:, None])
@@ -183,7 +173,7 @@ def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=Non
 def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=None) -> PDSurface:
     """Centered mean-response grid for a feature pair."""
     _check_features(model, j, k)
-    X = _usable_rows(model, data)
+    X, _ = _usable_rows(model, data)
     size = _grid_size(grid_spec, 2)
     grid_j, grid_k = (_resolve_grid(X, f, size) for f in (j, k))
     if size is None:  # observed values: the product is known only now
@@ -194,13 +184,11 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     return PDSurface((j, k), (model.feature_names[j], model.feature_names[k]), grid_j, grid_k, values)
 
 
-def _interaction_denominator(model: BoostedModel, X: np.ndarray, data, which: str) -> float:
+def _interaction_denominator(model: BoostedModel, X: np.ndarray, y: np.ndarray, which: str) -> float:
     if which == "model":
         f = predict_batch(model, X)
         ref = f - f.sum() / len(f)
     elif which == "response":
-        y = np.asarray(data.y, dtype=np.float64)
-        y = y[np.isfinite(y)]
         ref = y - y.sum() / len(y)
     else:
         raise ValueError("denominator must be 'model' or 'response'")
@@ -219,8 +207,8 @@ def _interaction_scores(model: BoostedModel, data, denominator: str) -> np.ndarr
     structures that split on both, of B - Uj - Uk: the structure's PD with
     both (B) or one (U) feature set to each record's own values.
     """
-    X = _usable_rows(model, data)
-    den = _interaction_denominator(model, X, data, denominator)
+    X, y = _usable_rows(model, data)
+    den = _interaction_denominator(model, X, y, denominator)
     n, d = X.shape
     delta = np.zeros((d, d, n))  # the diagonal is never read
     structures = model.structure_tables

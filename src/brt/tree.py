@@ -8,8 +8,9 @@ binary trees always have an odd node count.
 
 One rule, ``goes_right``, sends a value to a side of a split: a value above
 the threshold goes right, a value at or below it goes left, and a missing
-value goes to the side that ``missing_right`` names. Fitting partitions a
-node's rows with it, and prediction and the analytics route with it.
+value goes to the side that ``missing_right`` names. ``route`` moves the rows
+at a node with it, for the fitter, once per expanded node, and for
+``leaf_assignments``; the analytics' pass tables test splits with it too.
 
 Split search scans the cuts between consecutive distinct finite values of
 each feature; a cut's threshold is the midpoint of the two values, or the
@@ -67,6 +68,13 @@ def goes_right(v: np.ndarray, threshold: float, missing_right: bool) -> np.ndarr
     return ~(v <= threshold) if missing_right else v > threshold
 
 
+def route(node: np.ndarray, i: int, x: np.ndarray, threshold: float, missing_right: bool, left: int, right: int) -> None:
+    """Move the rows at node i (``node[r] == i``) to its left or right child
+    by ``goes_right`` on their values in x, the split feature's column."""
+    at = np.flatnonzero(node == i)
+    node[at] = np.where(goes_right(x[at], threshold, missing_right), right, left)
+
+
 # RegressionTree's node arrays in constructor order, each with its dtype and
 # the placeholder a leaf holds there (a leaf's value aside).
 NODE_FIELDS = {
@@ -78,7 +86,6 @@ NODE_FIELDS = {
     "value": (np.float64, 0.0),
     "improvement": (np.float64, 0.0),
 }
-_LEAF = {name: pad for name, (_, pad) in NODE_FIELDS.items()}
 
 
 class RegressionTree:
@@ -111,11 +118,8 @@ class RegressionTree:
         """Leaf index each row of X routes to, by ``goes_right`` at each split."""
         node = np.zeros(X.shape[0], dtype=np.intp)
         for i, f in enumerate(self.feature.tolist()):
-            if f < 0:
-                continue
-            at = np.flatnonzero(node == i)
-            right = goes_right(X[at, f], self.threshold[i], self.missing_right[i])
-            node[at] = np.where(right, self.right[i], self.left[i])
+            if f >= 0:
+                route(node, i, X[:, f], self.threshold[i], self.missing_right[i], self.left[i], self.right[i])
         return node
 
 
@@ -200,11 +204,11 @@ class _Counts:
     that leave min_leaf rows on both sides, for each routing.
     """
 
-    __slots__ = ("key", "k", "n_miss", "num", "den", "miss", "window")
+    __slots__ = ("key", "n_miss", "num", "den", "miss", "window")
 
     def __init__(self, key, n_miss, cnt_left, min_leaf):
         self.key = key  # (k, n_miss bytes); groups keep this one object
-        k = self.k = key[0]
+        k = key[0]
         self.n_miss = n_miss
         n_fin = k - n_miss
         self.num = num = np.empty((2, n_miss.shape[0], cnt_left.size))
@@ -283,40 +287,46 @@ class TreeFitter:
         self._counts = _LRU(budget // 4, lambda key, counts: counts.nbytes)
         self._min_leaf = None
 
-    def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits) -> RegressionTree:
-        """Fit a tree to targets on the row ids ``rows``, which must be
-        ascending (``fit_ensemble`` and ``fit_tree`` pass them so): each
-        node's rows are then ascending too, and so are its targets' sums."""
+    def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits, out: dict) -> tuple[int, np.ndarray]:
+        """Fit a tree to targets on the ascending row ids ``rows`` (so each node's
+        rows, and its targets' sums, are ascending too) and write node i's
+        NODE_FIELDS into ``out[name][i]``, whose entries hold leaf placeholders.
+        Return the node count and ``leaf``: ``leaf[r]`` is the leaf that row r
+        of X reaches, in ``rows`` or not. An expansion routes the rows at its
+        node once; a child's rows are those of its parent that reach it."""
         y = targets
         rows = np.asarray(rows, dtype=np.intp)
         if limits.min_leaf_obs != self._min_leaf:
             self._counts.clear()  # the min_leaf window; groups do not depend on it
             self._min_leaf = limits.min_leaf_obs
+        leaf = np.zeros(self.X.shape[0], dtype=np.intp)
 
-        nodes: list[dict] = []  # each node's NODE_FIELDS entries, in node order
-
-        def add_leaf(leaf_rows) -> float:
-            """Append the leaf of leaf_rows; return the sum of their targets."""
+        def add_leaf(i, leaf_rows) -> float:
+            """Write the value of leaf i, on leaf_rows; return the sum of their targets."""
             total = float(np.add.reduce(y[leaf_rows]))
-            nodes.append({**_LEAF, "value": total / leaf_rows.size})
+            out["value"][i] = total / leaf_rows.size
             return total
 
-        heap: list[tuple[float, int, dict, np.ndarray, np.ndarray]] = []
+        heap: list[tuple[float, int, dict, np.ndarray]] = []
+        count = 1
         # Cuts past a node's last finite value divide by zero; they are masked.
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._search(y, 0, rows, add_leaf(rows), heap)
-            while heap and len(nodes) + 2 <= limits.max_nodes:
-                _, nid, split, lrows, rrows = heapq.heappop(heap)
-                nodes[nid].update(split, left=len(nodes), right=len(nodes) + 1)
-                # After this expansion the tree has len(nodes)+2 nodes; only
-                # search the new leaves if one more expansion could still fit.
-                worth_searching = len(nodes) + 4 <= limits.max_nodes
-                for child_rows in (lrows, rrows):
-                    cid = len(nodes)
-                    total = add_leaf(child_rows)
+            self._search(y, 0, rows, add_leaf(0, rows), heap)
+            while heap and count + 2 <= limits.max_nodes:
+                _, i, split, node_rows = heapq.heappop(heap)
+                left, right = count, count + 1
+                for name, v in {**split, "left": left, "right": right}.items():
+                    out[name][i] = v
+                route(leaf, i, self.XT[split["feature"]], split["threshold"], split["missing_right"], left, right)
+                count += 2
+                # Only search the new leaves if one more expansion could still fit.
+                worth_searching = count + 2 <= limits.max_nodes
+                for child in (left, right):
+                    child_rows = node_rows[leaf[node_rows] == child]
+                    total = add_leaf(child, child_rows)
                     if worth_searching:
-                        self._search(y, cid, child_rows, total, heap)
-        return RegressionTree(*([node[k] for node in nodes] for k in NODE_FIELDS), self.X.shape[1])
+                        self._search(y, child, child_rows, total, heap)
+        return count, leaf
 
     def _group(self, rows: np.ndarray) -> tuple[_Group, _Counts]:
         """The cached _Group of this row set, built and stored on a miss,
@@ -355,10 +365,9 @@ class TreeFitter:
         """Push the best split of node nid, whose rows sum to ``total``, onto heap.
 
         A heap entry is (-improvement, node id, the split's feature,
-        threshold, missing_right and improvement as node fields, left row
-        ids, right row ids); ``goes_right`` partitions the ascending ``rows``,
-        so both id arrays are ascending. Nodes with fewer than 2*min_leaf
-        rows, or no split that removes error, push nothing.
+        threshold, missing_right and improvement as node fields, the node's
+        row ids). Nodes with fewer than 2*min_leaf rows, or no split that
+        removes error, push nothing.
         """
         k = rows.size
         if self.XT.shape[0] == 0 or k < max(2, 2 * self._min_leaf):
@@ -412,8 +421,7 @@ class TreeFitter:
         gain = float((score_r if missing_right else score_l)[f, p] - total * total / k)
         threshold = self._threshold(sel, f, p)
         split = {"feature": f, "threshold": threshold, "missing_right": missing_right, "improvement": gain}
-        right = goes_right(self.XT[f, rows], threshold, missing_right)
-        heapq.heappush(heap, (-gain, nid, split, rows[~right], rows[right]))
+        heapq.heappush(heap, (-gain, nid, split, rows))
 
     def _threshold(self, sel, f, p) -> float:
         """Threshold of the cut after sorted position p of feature f: the
@@ -473,4 +481,7 @@ def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTr
         raise ValueError("targets must match samples in length")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    return TreeFitter(X).fit(y, np.arange(X.shape[0]), limits)
+    # n rows make at most 2n - 1 nodes, each leaf holding one row at least
+    out = {k: np.full(min(limits.max_nodes, 2 * X.shape[0]), pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
+    count, _ = TreeFitter(X).fit(y, np.arange(X.shape[0]), limits, out)
+    return RegressionTree(*(out[k][:count] for k in NODE_FIELDS), X.shape[1])

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -54,7 +55,8 @@ class TestBoostConfig:
         ],
     )
     def test_bounds_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
             BoostConfig(**kwargs)
 
 
@@ -256,9 +258,18 @@ def test_columns_are_as_wide_as_the_data_allows(max_nodes, min_leaf, width):
     assert peak < 2 << 20
 
 
-def _assert_same_tree(a, b):
-    for name in ("feature", "threshold", "missing_right", "left", "right", "value", "improvement"):
-        got, want = getattr(a, name), getattr(b, name)
+def _fit(fitter, y, rows, limits):
+    """fitter.fit into fresh leaf-placeholder buffers: the node count, the
+    buffers and each row's leaf."""
+    out = {k: np.full(limits.max_nodes, pad, dtype) for k, (dtype, pad) in tree_module.NODE_FIELDS.items()}
+    count, leaf = fitter.fit(y, rows, limits, out)
+    return count, out, leaf
+
+
+def _assert_same_fit(a, b):
+    (count_a, out_a, leaf_a), (count_b, out_b, leaf_b) = a, b
+    assert count_a == count_b
+    for name, got, want in [*((k, out_a[k], out_b[k]) for k in tree_module.NODE_FIELDS), ("leaf", leaf_a, leaf_b)]:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
@@ -276,10 +287,10 @@ class TestSearchCache:
         monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 22)  # room for every row set met
         warm = TreeFitter(data.X)
         for y, rows in jobs:
-            warm.fit(y, rows, limits)
+            _fit(warm, y, rows, limits)
         cached = dict(warm._groups.entries)
         for y, rows in jobs:
-            _assert_same_tree(warm.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
+            _assert_same_fit(_fit(warm, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
         # Every search of the second pass was a hit: nothing was built or dropped.
         assert warm._groups.entries.keys() == cached.keys()
         assert all(warm._groups.entries[key] is entry for key, entry in cached.items())
@@ -296,7 +307,7 @@ class TestSearchCache:
         for _ in range(6):
             y = rng.normal(size=data.n_rows)
             for rows in row_sets:
-                _assert_same_tree(small.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
+                _assert_same_fit(_fit(small, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
         assert all(cache.nbytes <= cache.budget for cache in (small._groups, small._counts))
         assert 0 < len(small._groups.entries) < len(stored)  # entries were dropped to stay in budget
 
@@ -308,7 +319,24 @@ def test_search_cache_is_per_min_leaf():
     for rows in _row_sets(data.n_rows, 23, 10, 3) * 2:
         y = rng.normal(size=data.n_rows)
         for limits in (TreeLimits(6, 1), TreeLimits(6, 5)):
-            _assert_same_tree(fitter.fit(y, rows, limits), TreeFitter(data.X).fit(y, rows, limits))
+            _assert_same_fit(_fit(fitter, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
+
+
+def test_fit_ensemble_builds_no_tree_and_routes_no_batch(monkeypatch):
+    """The fitter writes each stage into the columns and hands back the rows'
+    leaves: no RegressionTree is made and no batch routed again."""
+    want = fit_ensemble(_nan_table(), BoostConfig(n_trees=30, max_nodes=13, min_leaf_obs=1, seed=5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_ensemble built or routed a RegressionTree")
+
+    monkeypatch.setattr(RegressionTree, "__init__", refuse)
+    monkeypatch.setattr(RegressionTree, "leaf_assignments", refuse)
+    got = fit_ensemble(_nan_table(), BoostConfig(n_trees=30, max_nodes=13, min_leaf_obs=1, seed=5))
+    for name in ("gamma", "node_count"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in tree_module.NODE_FIELDS:
+        assert got.nodes[name].tobytes() == want.nodes[name].tobytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +434,19 @@ class TestStagedMetric:
         model = fit_ensemble(ds, BoostConfig(n_trees=1, min_leaf_obs=1))
         with pytest.raises(ValueError):
             staged_metric(model, ds, metric="mad")
+
+    @pytest.mark.parametrize(
+        "X, y, message",
+        [
+            (np.zeros((3, 2)), [1.0, 2.0, 3.0], "feature count mismatch"),
+            (np.zeros(3), [1.0, 2.0, 3.0], "feature count mismatch"),
+            (np.zeros((3, 1)), [np.nan, np.inf, -np.inf], "empty learn sample"),
+        ],
+    )
+    def test_unusable_data_rejected(self, X, y, message):
+        model = fit_ensemble(identity_toy(), BoostConfig(n_trees=3, min_leaf_obs=1))
+        with pytest.raises(ValueError, match=message):
+            staged_metric(model, SimpleNamespace(X=X, y=y))
 
 
 def _structure_key(tree):

@@ -7,13 +7,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from brt.tree import (
     MIN_IMPROVEMENT_FRACTION,
+    NODE_FIELDS,
     RegressionTree,
+    TreeFitter,
     TreeLimits,
     fit_tree,
     predict_tree,
     split_improvements,
 )
 
+from conftest import traced_peak
 from oracles import NaiveTree, enumerate_splits, naive_flat_leaf
 
 
@@ -329,6 +332,41 @@ def test_property_routing_matches_naive_walker(case):
     expected = [naive_flat_leaf(*arrays, row) for row in rows]
     assert tree.leaf_assignments(X).tolist() == expected
     assert tree.predict_batch(X).tolist() == [float(i) for i in expected]
+
+
+@st.composite
+def tables_and_subsamples(draw):
+    """A small table with NaN cells and repeated values, targets, an
+    ascending subsample of its rows and tree limits."""
+    n, d = draw(st.integers(2, 14)), draw(st.integers(1, 3))
+    cell = st.one_of(st.just(math.nan), st.sampled_from([-1.0, 0.0, 2.5]), st.floats(-5.0, 5.0))
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return X, y, np.array(rows), TreeLimits(draw(st.integers(3, 11)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_subsamples())
+def test_property_fit_leaves_match_naive_walker(case):
+    """The leaf fit returns for each row of X, in the subsample or not, is
+    where the written tree routes it."""
+    X, y, rows, limits = case
+    out = {k: np.full(limits.max_nodes, pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
+    count, leaf = TreeFitter(X).fit(y, rows, limits, out)
+    arrays = [out[k][:count].tolist() for k in ("feature", "threshold", "missing_right", "left", "right")]
+    assert leaf.tolist() == [naive_flat_leaf(*arrays, row) for row in X.tolist()]
+    for k, (dtype, pad) in NODE_FIELDS.items():  # past the tree, the placeholders are untouched
+        assert (out[k][count:] == pad).all(), k
+
+
+def test_fit_tree_buffers_fit_the_rows():
+    """n rows make at most 2n - 1 nodes, so a huge node budget on 4 rows
+    allocates no buffer of that size (100,001 bools would be 100 kB)."""
+    X, y = np.array([[1.0], [2.0], [3.0], [4.0]]), [0.0, 1.0, 5.0, 9.0]
+    tree, peak = traced_peak(fit_tree, X, y, TreeLimits(100_001, 1))
+    assert tree.node_count == 7
+    assert peak < 50_000
 
 
 @st.composite
