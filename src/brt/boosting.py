@@ -156,14 +156,16 @@ class BoostedModel:
         return (self.config.learn_rate * self.gamma)[:, None] * self.nodes["value"]
 
 
-def node_columns(count: np.ndarray, nodes) -> dict[str, np.ndarray]:
+def node_columns(count: np.ndarray, nodes: dict) -> dict[str, np.ndarray]:
     """One (n_stages, widest) column per NODE_FIELDS entry: row m holds the next
-    count[m] entries of ``nodes[name]``, stage after stage, then leaf placeholders."""
+    count[m] entries of the flat array ``nodes[name]``, stage after stage, then
+    leaf placeholders. The one place node columns are padded: each flat array is
+    popped from ``nodes`` as its column is filled, so it is dropped once copied."""
     filled = np.arange(int(count.max(initial=1))) < count[:, None]
     columns = {}
     for name, (dtype, pad) in NODE_FIELDS.items():
         column = columns[name] = np.full(filled.shape, pad, dtype=dtype)
-        column[filled] = nodes[name]
+        column[filled] = nodes.pop(name)
     return columns
 
 
@@ -219,20 +221,13 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
 
     The fitter writes each stage's tree into its row of the model's columns
     and returns every row's leaf, so the fit holds one copy of the model. The
-    columns are as wide as the largest tree the limits allow, a leaf holding at
-    least min_leaf_obs subsample rows, and are trimmed to the widest tree at the end.
+    columns are ``limits.widest(n_sub)`` wide, the most nodes a tree fit on a
+    subsample can have, and are trimmed to the widest tree at the end.
     """
-    X = np.asarray(data.X, dtype=np.float64)
-    y = np.asarray(data.y, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("empty learn sample")
-    usable = np.isfinite(y)
-    if not usable.any():
-        raise ValueError("no usable response values")
-    if int(usable.sum()) < 2:
-        raise ValueError("empty learn sample")
-    X, y = X[usable], y[usable]
+    X, y = _finite_response(np.asarray(data.X, dtype=np.float64), np.asarray(data.y, dtype=np.float64))
     n = len(y)
+    if n < 2:
+        raise ValueError("empty learn sample")
 
     f0 = float(y.sum()) / n
     current = np.full(n, f0)
@@ -241,12 +236,10 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     rng = SplitMix64(config.seed)
     n_sub = max(2, math.floor(config.subsample_fraction * n))
 
-    # A tree has an odd node count within the budget, and at most n_sub // min_leaf_obs leaves.
-    odd_budget = config.max_nodes - 1 + config.max_nodes % 2
-    width = max(1, min(odd_budget, 2 * (n_sub // config.min_leaf_obs) - 1))
     gamma = np.empty(config.n_trees)
     count = np.empty(config.n_trees, dtype=np.intp)
-    nodes = {k: np.full((config.n_trees, width), pad, dtype=dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
+    shape = (config.n_trees, limits.widest(n_sub))
+    nodes = {k: np.full(shape, pad, dtype=dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
     for m in range(config.n_trees):
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
@@ -269,10 +262,17 @@ def _usable_rows(model: BoostedModel, data) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(data.X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
-    y = np.asarray(data.y, dtype=np.float64)
+    return _finite_response(X, np.asarray(data.y, dtype=np.float64))
+
+
+def _finite_response(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float table X, y on the rows whose response is finite; a ValueError
+    when the table is empty or no row has a finite response."""
+    if X.shape[0] == 0:
+        raise ValueError("empty learn sample")
     usable = np.isfinite(y)
     if not usable.any():
-        raise ValueError("empty learn sample")
+        raise ValueError("no usable response values")
     return X[usable], y[usable]
 
 

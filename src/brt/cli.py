@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,28 +37,20 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _add_boost_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--trees", type=int, default=None, help="number of boosting stages")
-    p.add_argument("--learn-rate", type=float, default=None, help="shrinkage factor per stage")
-    p.add_argument("--max-nodes", type=int, default=None, help="total node budget per tree")
-    p.add_argument("--min-leaf", type=int, default=None, help="minimum records per leaf")
-    p.add_argument("--subsample", type=float, default=None, help="row fraction drawn per stage")
-    p.add_argument("--seed", type=int, default=None, help="random seed")
+    """The flags that set BoostConfig fields, each stored under its field's name."""
+    p.add_argument("--trees", type=int, dest="n_trees", metavar="TREES", help="number of boosting stages")
+    p.add_argument("--learn-rate", type=float, dest="learn_rate", help="shrinkage factor per stage")
+    p.add_argument("--max-nodes", type=int, dest="max_nodes", help="total node budget per tree")
+    p.add_argument("--min-leaf", type=int, dest="min_leaf_obs", metavar="MIN_LEAF", help="minimum records per leaf")
+    p.add_argument(
+        "--subsample", type=float, dest="subsample_fraction", metavar="SUBSAMPLE", help="row fraction drawn per stage"
+    )
+    p.add_argument("--seed", type=int, dest="seed", help="random seed")
 
 
 def _config_from_args(args) -> BoostConfig:
-    overrides = {}
-    for flag, field in (
-        ("trees", "n_trees"),
-        ("learn_rate", "learn_rate"),
-        ("max_nodes", "max_nodes"),
-        ("min_leaf", "min_leaf_obs"),
-        ("subsample", "subsample_fraction"),
-        ("seed", "seed"),
-    ):
-        v = getattr(args, flag)
-        if v is not None:
-            overrides[field] = v
-    return BoostConfig(**overrides)
+    given = {f.name: getattr(args, f.name, None) for f in fields(BoostConfig)}
+    return BoostConfig(**{k: v for k, v in given.items() if v is not None})
 
 
 def _out_dir(args) -> Path:

@@ -11,8 +11,9 @@ Layout (UTF-8, one JSON document per line after the version tag):
 Stage arrays are node-indexed; feature -1 marks a leaf, whose threshold,
 child, and routing entries are placeholders. A stage line is one row of a
 BoostedModel's columns: save_model writes the rows a line at a time;
-load_model reads a line at a time, parses a block of lines at a time and
-checks their columns whole, so neither holds the whole document. Floats are
+load_model reads a line at a time, parses and checks a block of lines at a
+time, keeping their node fields flat, and pads them into the columns once,
+with node_columns, at the end, so neither holds the whole document. Floats are
 written as Python repr (shortest round-trip decimal), so load(save(model))
 predicts bit-identically. Unknown object fields are ignored with a warning so newer
 writers stay readable; a different version tag is an error.
@@ -116,10 +117,11 @@ def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
 
 
 def _stage_columns(objs: list, lines, n_features: int) -> dict:
-    """``gamma``, node ``count`` and each node column (node_columns) of parsed
-    stage lines, checked on whole columns; errors name ``lines``. Once
-    a check fails, load_model checks the lines one at a time, so that the error
-    names the first bad line and its first fault, as a line-by-line read does."""
+    """``gamma``, node ``count`` and each NODE_FIELDS entry of parsed stage lines,
+    unpadded, the node fields checked as flat arrays (a node's index in its stage
+    is its flat index less its stage root's); errors name ``lines``. Once a check
+    fails, load_model checks the lines one at a time, so that the error names the
+    first bad line and its first fault, as a line-by-line read does."""
     gamma = np.array([_number(obj, "gamma", lines) for obj in objs], dtype=np.float64)
     flat, lengths = {}, []
     for k, (dtype, _) in NODE_FIELDS.items():
@@ -138,26 +140,25 @@ def _stage_columns(objs: list, lines, n_features: int) -> dict:
         if not finite.all():  # JSON NaN or +-Infinity
             raise _error(lines, f"field {k!r} must hold finite numbers, got {flat[k][~finite][0].item()!r}")
         lengths.append(list(map(len, vals)))
-    lengths = np.array(lengths, dtype=np.intp)
-    if not ((lengths == lengths[0]).all() and (lengths[0] >= 1).all()):
+    count = np.array(lengths[0], dtype=np.intp)
+    if lengths.count(lengths[0]) < len(lengths) or not count.all():
         raise _error(lines, "node arrays must share one nonzero length")
-    nodes = node_columns(lengths[0], flat)
-    feature, left, right = nodes["feature"], nodes["left"], nodes["right"]
-    node, end, split = np.arange(feature.shape[1]), lengths[0][:, None], feature >= 0
+    feature, left, right = flat["feature"], flat["left"], flat["right"]
+    starts = np.cumsum(count) - count  # the flat index of each stage's root
+    root, end = np.repeat(starts, count), np.repeat(count, count)
+    node, split = np.arange(len(feature)) - root, feature >= 0
     unknown = (feature < -1) | (feature >= n_features)
     bad = np.flatnonzero(unknown | (split & ~((node < left) & (left < end) & (node < right) & (right < end))))
     if bad.size:
-        m, i = divmod(int(bad[0]), feature.shape[1])
-        message = f"splits on unknown feature {feature[m, i]}" if unknown[m, i] else "has invalid children"
-        raise _error(lines, f"node {i} {message}")
-    parents = np.zeros(feature.shape)  # how many splits name each node as a child
-    np.add.at(parents, (np.nonzero(split)[0], left[split]), 1.0)
-    np.add.at(parents, (np.nonzero(split)[0], right[split]), 1.0)
-    parents[:, 0] = 1.0  # the root, which no split names
-    bad = np.flatnonzero((parents != 1.0) & (node < end))
+        i = int(bad[0])
+        message = f"splits on unknown feature {feature[i]}" if unknown[i] else "has invalid children"
+        raise _error(lines, f"node {node[i]} {message}")
+    # how many splits name each node as a child, the roots counted once
+    named = np.concatenate([(root + left)[split], (root + right)[split], starts])
+    bad = np.flatnonzero(np.bincount(named, minlength=len(feature)) != 1)
     if bad.size:
-        raise _error(lines, f"node {int(bad[0]) % feature.shape[1]} is not the child of exactly one split")
-    return {"gamma": gamma, "count": lengths[0], **nodes}
+        raise _error(lines, f"node {node[bad[0]]} is not the child of exactly one split")
+    return {"gamma": gamma, "count": count, **flat}
 
 
 def load_model(source) -> BoostedModel:
@@ -226,7 +227,7 @@ def _parse_model(lines) -> BoostedModel:
     if type(n_stages) is not int or n_stages < 0:
         raise _error(2, f"field 'n_stages' must be a non-negative integer, got {n_stages!r}")
 
-    # each block's columns, from an empty one that keeps a model of no stages well typed
+    # each block's flat columns, from an empty one that keeps a model of no stages well typed
     parts = {k: [column] for k, column in _stage_columns([], 3, len(feature_names)).items()}
     block, seen = [], 0
     for no, ln in lines:
@@ -242,13 +243,7 @@ def _parse_model(lines) -> BoostedModel:
     if seen != n_stages:
         raise ModelParseError(f"model parse error: header declares {n_stages} stages but document has {seen}")
     gamma, count = (np.concatenate(parts.pop(k)) for k in ("gamma", "count"))
-    nodes = {}
-    for k, (dtype, pad) in NODE_FIELDS.items():  # a field at a time, dropping its blocks once it is built
-        column = nodes[k] = np.full((len(count), int(count.max(initial=1))), pad, dtype=dtype)
-        a = 0
-        for rows in parts.pop(k):
-            column[a : a + len(rows), : rows.shape[1]] = rows
-            a += len(rows)
+    nodes = node_columns(count, {k: np.concatenate(parts.pop(k)) for k in NODE_FIELDS})
     return BoostedModel(f0, config, tuple(feature_names), gamma, count, nodes)
 
 

@@ -59,6 +59,11 @@ class TreeLimits:
         if self.min_leaf_obs < 1:
             raise ValueError("min_leaf_obs must be at least 1")
 
+    def widest(self, n_rows: int) -> int:
+        """The most nodes a tree fit on n_rows rows can have, 1 at least: an odd count within
+        the budget, with at most n_rows // min_leaf_obs leaves, as a leaf holds min_leaf_obs rows."""
+        return max(1, min(self.max_nodes - 1 + self.max_nodes % 2, 2 * (n_rows // self.min_leaf_obs) - 1))
+
 
 def goes_right(v: np.ndarray, threshold: float, missing_right: bool) -> np.ndarray:
     """Which values v go to the right child of a split: those above the
@@ -481,7 +486,6 @@ def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTr
         raise ValueError("targets must match samples in length")
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
-    # n rows make at most 2n - 1 nodes, each leaf holding one row at least
-    out = {k: np.full(min(limits.max_nodes, 2 * X.shape[0]), pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
+    out = {k: np.full(limits.widest(X.shape[0]), pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
     count, _ = TreeFitter(X).fit(y, np.arange(X.shape[0]), limits, out)
     return RegressionTree(*(out[k][:count] for k in NODE_FIELDS), X.shape[1])

@@ -1,9 +1,11 @@
 import hashlib
 import io
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brt import boosting
 from brt.boosting import (
@@ -20,7 +22,7 @@ from brt.boosting import (
 from brt.data import Dataset
 from brt.model_io import load_model, save_model
 from brt import tree as tree_module
-from brt.tree import RegressionTree, TreeFitter, TreeLimits
+from brt.tree import RegressionTree, TreeFitter, TreeLimits, fit_tree
 
 from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
 from oracles import naive_boost, naive_boost_predict
@@ -258,6 +260,37 @@ def test_columns_are_as_wide_as_the_data_allows(max_nodes, min_leaf, width):
     assert peak < 2 << 20
 
 
+@st.composite
+def tables_and_configs(draw):
+    """A small table with NaN cells and repeated values, and a config whose
+    limits range over max_nodes 3-20 and min_leaf_obs 1-5."""
+    n, d = draw(st.integers(2, 24)), draw(st.integers(1, 3))
+    cell = st.one_of(st.just(math.nan), st.sampled_from([-1.0, 0.0, 2.5]), st.floats(-5.0, 5.0))
+    X = np.array(draw(st.lists(cell, min_size=n * d, max_size=n * d)), dtype=np.float64).reshape(n, d)
+    y = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    config = BoostConfig(
+        n_trees=3,
+        learn_rate=0.5,
+        max_nodes=draw(st.integers(3, 20)),
+        min_leaf_obs=draw(st.integers(1, 5)),
+        subsample_fraction=draw(st.sampled_from([0.5, 0.8, 1.0])),
+        seed=draw(st.integers(0, 3)),
+    )
+    return Dataset.from_arrays(X, y), config
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_configs())
+def test_property_both_fits_stay_within_the_widest_tree(case):
+    """fit_tree on n rows and fit_ensemble on subsamples of n_sub rows make no
+    tree wider than TreeLimits.widest says."""
+    ds, config = case
+    limits, n = TreeLimits(config.max_nodes, config.min_leaf_obs), ds.n_rows
+    assert fit_tree(ds.X, ds.y, limits).node_count <= limits.widest(n)
+    model = fit_ensemble(ds, config)
+    assert model.node_count.max() <= limits.widest(max(2, math.floor(config.subsample_fraction * n)))
+
+
 def _fit(fitter, y, rows, limits):
     """fitter.fit into fresh leaf-placeholder buffers: the node count, the
     buffers and each row's leaf."""
@@ -440,7 +473,7 @@ class TestStagedMetric:
         [
             (np.zeros((3, 2)), [1.0, 2.0, 3.0], "feature count mismatch"),
             (np.zeros(3), [1.0, 2.0, 3.0], "feature count mismatch"),
-            (np.zeros((3, 1)), [np.nan, np.inf, -np.inf], "empty learn sample"),
+            (np.zeros((3, 1)), [np.nan, np.inf, -np.inf], "no usable response values"),
         ],
     )
     def test_unusable_data_rejected(self, X, y, message):

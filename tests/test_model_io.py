@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brt.boosting import BoostConfig, fit_ensemble, predict, predict_batch
-from brt.model_io import FORMAT_VERSION, ModelParseError, load_model, save_model
+from brt.model_io import FORMAT_VERSION, ModelParseError, _stage_columns, load_model, save_model
 from brt.tree import NODE_FIELDS
 
 from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
@@ -397,6 +397,54 @@ def test_unreachable_or_shared_node_rejected(fitted, feature, left, right, node)
              "left": left, "right": right, "value": [50.0] * n, "improvement": [1.0] * n}
     with pytest.raises(ModelParseError, match=rf"at line 4: node {node} is not the child of exactly one split"):
         load_model(_doc(model, [_split_stage(), stage, _split_stage()]))
+
+
+def _stage(feature, left, right):
+    n = len(feature)
+    return {"gamma": 1.0, "feature": feature, "threshold": [0.5] * n, "missing_right": [False] * n,
+            "left": left, "right": right, "value": [1.0] * n, "improvement": [1.0] * n}
+
+
+# A 5-node stage (node 0 splits into 1 and 2, node 1 into 3 and 4), and one fault
+# at its node 1, as the field and the entry put there, with the message it must raise.
+FIVE_NODES = {"feature": [0, 1, -1, -1, -1], "left": [1, 3, -1, -1, -1], "right": [2, 4, -1, -1, -1]}
+FLAT_FAULTS = {
+    "unknown feature": ("feature", 7, "node 1 splits on unknown feature 7"),
+    "child at its parent": ("left", 1, "node 1 has invalid children"),
+    "child one past its stage": ("right", 5, "node 1 has invalid children"),  # the next stage's root
+    "two parents": ("right", 2, "node 2 is not the child of exactly one split"),
+    "unreachable": ("feature", -1, "node 3 is not the child of exactly one split"),
+}
+
+
+@pytest.mark.parametrize("fault", FLAT_FAULTS)
+def test_block_checks_name_the_node_within_its_stage(fitted, fault):
+    """One block of 1-, 5- and 3-node stages is checked as flat arrays: a fault
+    in the 5-node stage names its line and the node's index within that stage."""
+    model, _ = fitted
+    field, entry, message = FLAT_FAULTS[fault]
+    five = {k: list(v) for k, v in FIVE_NODES.items()}
+    five[field][1] = entry
+    stages = [_stage([-1], [-1], [-1]), _stage(**five), _split_stage()]
+    with pytest.raises(ModelParseError, match=rf"at line 3-5: {message}$"):
+        _stage_columns(stages, "3-5", model.n_features)
+    with pytest.raises(ModelParseError, match=rf"at line 4: {message}$"):
+        load_model(_doc(model, stages))
+    stages[1] = _stage(**FIVE_NODES)
+    assert load_model(_doc(model, stages)).node_count.tolist() == [1, 5, 3]
+
+
+@pytest.mark.parametrize("n_trees", [0, 1])
+def test_zero_and_one_stage_round_trips_keep_dtypes_and_shapes(n_trees):
+    ds = random_dataset(np.random.default_rng(5), 12, 2, missing=True)
+    model = fit_ensemble(ds, BoostConfig(n_trees=n_trees, learn_rate=0.1, min_leaf_obs=1))
+    loaded = roundtrip(model)[0]
+    _same_model(loaded, model)
+    assert loaded.gamma.dtype == np.float64 and loaded.node_count.dtype == np.intp
+    assert loaded.gamma.shape == loaded.node_count.shape == (n_trees,)
+    width = int(model.node_count.max(initial=1))
+    for k, (dtype, _) in NODE_FIELDS.items():
+        assert loaded.nodes[k].dtype == dtype and loaded.nodes[k].shape == (n_trees, width), k
 
 
 def _reference_text(model) -> str:

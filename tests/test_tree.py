@@ -84,6 +84,14 @@ def test_limits_validation():
         TreeLimits(3, 0)
 
 
+@pytest.mark.parametrize(
+    "max_nodes, min_leaf, n_rows, widest",
+    [(6, 3, 25, 5), (7, 3, 25, 7), (100_001, 1, 4, 7), (100_001, 3, 23, 13), (6, 3, 5, 1), (6, 3, 2, 1), (3, 1, 0, 1)],
+)
+def test_widest_tree_is_odd_within_the_budget_and_the_rows(max_nodes, min_leaf, n_rows, widest):
+    assert TreeLimits(max_nodes, min_leaf).widest(n_rows) == widest
+
+
 def test_max_nodes_budget_counts_all_nodes():
     rng = np.random.default_rng(0)
     X = rng.uniform(size=(40, 3))
