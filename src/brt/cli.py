@@ -8,7 +8,6 @@ error, 2 usage error (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -17,9 +16,9 @@ import numpy as np
 
 from . import svg
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
-from .data import fy_label, load_model_table, load_raw_directory, assemble_model_table, write_model_table
+from .data import fy_label, load_model_table, load_raw_directory, assemble_model_table, naming, write_model_table
 from .interpret import (
-    MAX_GRID_POINTS, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
+    MAX_GRID_POINTS, _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
 )
 from .metrics import fit_report, resolve_threshold
 from .model_io import load_model, save_model
@@ -81,26 +80,21 @@ def _load_model_and_table(args) -> tuple:
     return model, data
 
 
-@contextlib.contextmanager
-def _naming(*inputs):
-    """A ValueError raised inside is about these inputs taken together: name them."""
-    try:
-        yield
-    except ValueError as e:
-        raise ValueError(f"{' with '.join(map(str, inputs))}: {e}") from None
-
-
 def cmd_train(args) -> int:
-    data = load_model_table(args.data)
+    if args.stride is not None and args.stride < 1:
+        raise ValueError(f"--stride must be at least 1, got {args.stride}")
     config = _config_from_args(args)
+    data = load_model_table(args.data)
     threshold = resolve_threshold(data.y, args.roc_threshold)  # checked before the fit, which it does not change
+
+    with naming(args.data):  # a fit that fails on the table names it, and nothing is written
+        model = fit_ensemble(data, config)
     out = _out_dir(args)
-
-    model = fit_ensemble(data, config)
-    save_model(model, out / "model.brtm")
-
-    preds = predict_batch(model, data.X)
-    report = fit_report(data.y, preds, roc_threshold=threshold)
+    save_model(model, out / "model.brtm")  # before prediction caches the structure tables on the model
+    with naming(args.data):  # so does a score that fails on it
+        preds = predict_batch(model, data.X)
+        report = fit_report(data.y, preds, roc_threshold=threshold)
+        curve = staged_metric(model, data, metric="mse", stride=args.stride) if model.n_stages > 0 else None
     _write_csv(
         out / "metrics.csv",
         ["metric", "value"],
@@ -122,8 +116,7 @@ def cmd_train(args) -> int:
         data.response_name,
     )
 
-    if model.n_stages > 0:
-        curve = staged_metric(model, data, metric="mse", stride=args.stride)
+    if curve is not None:
         ks = np.asarray([k for k, _ in curve.points], dtype=np.float64)
         ms = np.asarray([v for _, v in curve.points])
         _write_csv(out / "staged_mse.csv", ["n_trees", "mse"], [[int(k), float(v)] for k, v in curve.points])
@@ -141,7 +134,7 @@ def cmd_report(args) -> int:
     model, data = _load_model_and_table(args)
     out = _out_dir(args)
 
-    with _naming(args.model, args.data):
+    with naming(args.model, args.data):
         ranked = relative_influence(model).ranked()
         interactions = interaction_report(model, data, denominator=args.interaction_denominator)
     _write_csv(out / "influence.csv", ["feature", "percent"], [[n, v] for n, v in ranked])
@@ -180,17 +173,18 @@ def cmd_pdp(args) -> int:
         raise ValueError("give --feature NAME (optionally --feature2 NAME) or --all")
     if args.feature and args.feature == args.feature2:
         raise ValueError("features must differ")
+    with naming("--grid"):  # the cap on a surface over observed values needs the table: the analysis checks it
+        _grid_size(args.grid, 2 if args.feature2 else 1)
     model, data = _load_model_and_table(args)  # after the flag checks: loading a large model takes seconds
     out = _out_dir(args)
-    grid = args.grid
 
     if args.all:
         features = list(model.feature_names)
     elif args.feature2:
         j = _feature_index(model, args.feature)
         k = _feature_index(model, args.feature2)
-        with _naming(args.model, args.data):
-            surface = partial_dependence_2d(model, j, k, data, grid_spec=grid)
+        with naming(args.model, args.data):
+            surface = partial_dependence_2d(model, j, k, data, grid_spec=args.grid)
         stem = f"pd_{args.feature}_x_{args.feature2}"
         rows = [
             [float(surface.grid_j[a]), float(surface.grid_k[b]), float(surface.values[a, b])]
@@ -214,8 +208,8 @@ def cmd_pdp(args) -> int:
 
     for name in features:
         j = _feature_index(model, name)
-        with _naming(args.model, args.data):
-            profile = partial_dependence_1d(model, j, data, grid_spec=grid)
+        with naming(args.model, args.data):
+            profile = partial_dependence_1d(model, j, data, grid_spec=args.grid)
         _write_csv(
             out / f"pd_{name}.csv",
             [name, "dependence"],
@@ -235,7 +229,7 @@ def cmd_pdp(args) -> int:
 
 def cmd_build_data(args) -> int:
     series = load_raw_directory(args.raw)  # names the file at fault
-    with _naming(args.raw):  # the series disagree: name the directory that holds them
+    with naming(args.raw):  # the series disagree: name the directory that holds them
         dataset, provenance = assemble_model_table(
             series, rain_mean=args.rain_mean, msp_weight_year=args.msp_weight_year
         )

@@ -13,6 +13,7 @@ means the year ending 31 March 2007 and is stored as 2007.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -153,11 +154,16 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
         raise ValueError(f"non-numeric cell at row {row}, column {col!r}: {raw!r}") from None
 
 
-def _source_name(source) -> str:
-    """How error messages name a CSV source: its path, or the stream's name."""
-    if hasattr(source, "read"):
-        return str(getattr(source, "name", "<stream>"))
-    return str(source)
+@contextlib.contextmanager
+def naming(*sources, error=ValueError):
+    """Prefix an ``error`` raised inside with the names of ``sources``, the
+    inputs it is about, joined by " with ": a path or a flag as it is, a stream
+    by its ``name`` or as ``<stream>``."""
+    try:
+        yield
+    except error as e:
+        names = (str(getattr(s, "name", "<stream>")) if hasattr(s, "read") else str(s) for s in sources)
+        raise error(f"{' with '.join(names)}: {e}") from None
 
 
 class DecodeError(ValueError):
@@ -245,8 +251,8 @@ def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
     """Read a model-table CSV: columns ``year``, the response, and
     predictors in header order. Missing cells are empty or NA; the
     response must be present in every row. A malformed table raises a
-    ValueError naming the source, and the row and column where there is
-    one."""
+    ValueError, which ``naming`` prefixes with the source, naming the row
+    and column where there is one."""
 
     def check_columns(cols):
         if response_name not in cols:
@@ -254,16 +260,15 @@ def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
         if all(c == response_name for c in cols):
             raise ValueError("row 1: model table needs at least one predictor column")
 
-    try:
+    with naming(source):
         cols, years, cells, rows = _read_year_table(source, check_columns)
         r = cols.index(response_name)
         predictors = tuple(c for c in cols if c != response_name)
         y = np.ascontiguousarray(cells[:, r])
-        return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
-    except DatasetError as e:
-        raise ValueError(f"{_source_name(source)}: row {rows[e.row]}, column {e.column!r}: {e}") from None
-    except ValueError as e:
-        raise ValueError(f"{_source_name(source)}: {e}") from None
+        try:
+            return Dataset(years, predictors, np.delete(cells, r, axis=1), y, response_name)
+        except DatasetError as e:
+            raise ValueError(f"row {rows[e.row]}, column {e.column!r}: {e}") from None
 
 
 def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> AnnualTable:
@@ -271,8 +276,8 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
 
     When expected_columns is given, the header must match it exactly;
     unknown columns are rejected by name. A malformed file raises a
-    ValueError naming the source, and the row and column where there is
-    one.
+    ValueError, which ``naming`` prefixes with the source, naming the row
+    and column where there is one.
     """
 
     def check_columns(cols):
@@ -288,19 +293,17 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
             if absent:
                 raise ValueError(f"row 1: missing columns: {absent}")
 
-    try:
+    with naming(source):
         cols, years, cells, _ = _read_year_table(source, check_columns)
-    except ValueError as e:
-        raise ValueError(f"{_source_name(source)}: {e}") from None
     return AnnualTable(years=years, columns={c: np.ascontiguousarray(cells[:, j]) for j, c in enumerate(cols)})
 
 
 def load_weights_csv(source) -> dict[str, float]:
     """Read an item,weight CSV into a mapping. A malformed file raises a
-    ValueError naming the source, and the row (and column) where there is
-    one."""
+    ValueError, which ``naming`` prefixes with the source, naming the row
+    (and column) where there is one."""
     out: dict[str, float] = {}
-    try:
+    with naming(source):
         header, body = _read_rows(source)
         if header != ["item", "weight"]:
             raise ValueError(f"row 1: weights file must have columns ['item', 'weight'], got {header}")
@@ -318,8 +321,6 @@ def load_weights_csv(source) -> dict[str, float]:
             out[item] = w
         if not out:
             raise ValueError("no data rows below the header in row 1")
-    except ValueError as e:
-        raise ValueError(f"{_source_name(source)}: {e}") from None
     return out
 
 

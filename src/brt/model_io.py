@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .boosting import BoostConfig, BoostedModel, node_columns
-from .data import DecodeError, _decode, _source_name
+from .data import DecodeError, _decode, naming
 from .tree import NODE_FIELDS
 
 FORMAT_VERSION = "brtm/1"
@@ -164,14 +164,13 @@ def _stage_columns(objs: list, lines, n_features: int) -> dict:
 def load_model(source) -> BoostedModel:
     """The model in a brtm/1 document at a path or in a text stream, read a line
     at a time; a path's lines end at each b"\\n". A malformed document raises
-    ModelParseError naming the source and, where there is one, the line."""
-    try:
+    ModelParseError, which ``naming`` prefixes with the source, naming the line
+    where there is one."""
+    with naming(source, error=ModelParseError):
         if hasattr(source, "read"):
             return _parse_model(enumerate(source, 1))
         with open(source, "rb") as f:
             return _parse_model(_decoded(f))
-    except ModelParseError as e:
-        raise ModelParseError(f"{_source_name(source)}: {e}") from None
 
 
 def _decoded(f):

@@ -94,6 +94,21 @@ class TestTrain:
         assert f"roc threshold {spec!r}" in err
         assert not (out / "model.brtm").exists()
 
+    @pytest.mark.parametrize("flags", [["--stride", "0"], ["--stride", "-5"], ["--stride", "0", "--trees", "0"]])
+    def test_bad_stride_exits_1_before_the_fit(self, tmp_path, capsys, toy_table, flags):
+        out = tmp_path / "run"
+        code, _, err = run(["train", str(toy_table), "--out", str(out), *flags], capsys)
+        assert (code, err) == (1, f"error: --stride must be at least 1, got {flags[1]}\n")
+        assert not out.exists()
+
+    def test_fit_failure_names_the_table(self, tmp_path, capsys):
+        table = tmp_path / "one_row.csv"
+        table.write_text("year,FCPI,MSP\n2002,1.0,2.0\n")
+        out = tmp_path / "run"
+        code, _, err = run(["train", str(table), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: {table}: empty learn sample\n")
+        assert not out.exists()
+
     def test_non_utf8_table_names_file_and_line(self, tmp_path, capsys, toy_table):
         lines = toy_table.read_bytes().split(b"\n")
         lines[2] = lines[2] + b"\xff"
@@ -306,8 +321,20 @@ class TestPdp:
             (["--feature", "alpha", "--feature2", "alpha"], "features must differ"),
             (["--feature2", "beta"], "give --feature NAME (optionally --feature2 NAME) or --all"),
             ([], "give --feature NAME (optionally --feature2 NAME) or --all"),
+            (["--feature", "alpha", "--grid", "1"], "--grid: grid size must be at least 2"),
+            (["--feature", "alpha", "--feature2", "beta", "--grid", "-3"], "--grid: grid size must be at least 2"),
+            (
+                ["--all", "--grid", str(MAX_GRID_POINTS + 1)],
+                f"--grid: a grid of {MAX_GRID_POINTS + 1} points is over the cap of {MAX_GRID_POINTS}; "
+                "give a smaller --grid",
+            ),
+            (
+                ["--feature", "alpha", "--feature2", "beta", "--grid", "1025"],
+                f"--grid: a grid of {1025**2} points is over the cap of {MAX_GRID_POINTS}; give a smaller --grid",
+            ),
         ],
-        ids=["all-feature", "all-feature2", "same-twice", "feature2-only", "none"],
+        ids=["all-feature", "all-feature2", "same-twice", "feature2-only", "none", "grid-1", "surface-grid-below-2",
+             "grid-over-cap", "surface-grid-over-cap"],
     )
     def test_flags_are_checked_before_loading(self, tmp_path, capsys, flags, message):
         """Neither file exists: the flag message shows that nothing was read."""

@@ -90,6 +90,15 @@ def test_version_mismatch(fitted):
         load_model(io.StringIO(swapped))
 
 
+def test_parse_errors_name_the_path_or_the_stream(tmp_path):
+    path = tmp_path / "bad.brtm"
+    path.write_text(f"{FORMAT_VERSION}\nnot json\n")
+    with open(path, encoding="utf-8") as named:
+        for source, name in [(path, str(path)), (named, str(path)), (io.StringIO(path.read_text()), "<stream>")]:
+            with pytest.raises(ModelParseError, match=rf"^{re.escape(name)}: model parse error at line 2: "):
+                load_model(source)
+
+
 def test_unknown_fields_accepted_with_warning(fitted):
     model, _ = fitted
     buf = io.StringIO()
