@@ -88,14 +88,6 @@ class BoostedModel:
     node_count: np.ndarray
     nodes: dict[str, np.ndarray]
 
-    @classmethod
-    def from_stages(cls, f0, stages, config, feature_names) -> BoostedModel:
-        """The model of a sequence of Stages, their trees padded into columns."""
-        count = np.array([s.tree.node_count for s in stages], dtype=np.intp)
-        nodes = {k: np.concatenate([getattr(s.tree, k) for s in stages] or [[]]) for k in NODE_FIELDS}
-        gamma = np.array([s.gamma for s in stages], dtype=np.float64)
-        return cls(f0, config, tuple(feature_names), gamma, count, node_columns(count, nodes))
-
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
@@ -232,7 +224,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     f0 = float(y.sum()) / n
     current = np.full(n, f0)
     limits = TreeLimits(config.max_nodes, config.min_leaf_obs)
-    fitter = TreeFitter(X)
+    fitter = TreeFitter(X, limits)
     rng = SplitMix64(config.seed)
     n_sub = max(2, math.floor(config.subsample_fraction * n))
 
@@ -244,7 +236,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
         rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
         residual = y - current
         row = {k: column[m] for k, column in nodes.items()}
-        count[m], leaf = fitter.fit(residual, rows, limits, row)
+        count[m], leaf = fitter.fit(residual, rows, row)
         outputs = row["value"][leaf]
         g, _ = line_search_gamma(residual[rows], outputs[rows])
         current += (config.learn_rate * g) * outputs

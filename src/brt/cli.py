@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import svg
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
-from .data import fy_label, load_model_table, load_raw_directory, assemble_model_table, naming, write_model_table
+from .data import (
+    assemble_model_table, fy_label, load_model_table, load_raw_directory, monsoon_deviation, naming, write_model_table
+)
 from .interpret import (
     MAX_GRID_POINTS, _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
 )
@@ -35,21 +37,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _add_boost_flags(p: argparse.ArgumentParser) -> None:
-    """The flags that set BoostConfig fields, each stored under its field's name."""
-    p.add_argument("--trees", type=int, dest="n_trees", metavar="TREES", help="number of boosting stages")
-    p.add_argument("--learn-rate", type=float, dest="learn_rate", help="shrinkage factor per stage")
-    p.add_argument("--max-nodes", type=int, dest="max_nodes", help="total node budget per tree")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf_obs", metavar="MIN_LEAF", help="minimum records per leaf")
-    p.add_argument(
-        "--subsample", type=float, dest="subsample_fraction", metavar="SUBSAMPLE", help="row fraction drawn per stage"
-    )
-    p.add_argument("--seed", type=int, dest="seed", help="random seed")
+# train's flags that set BoostConfig fields: flag, field (the flag's dest), type, help.
+BOOST_FLAGS = (
+    ("--trees", "n_trees", int, "number of boosting stages"),
+    ("--learn-rate", "learn_rate", float, "shrinkage factor per stage"),
+    ("--max-nodes", "max_nodes", int, "total node budget per tree"),
+    ("--min-leaf", "min_leaf_obs", int, "minimum records per leaf"),
+    ("--subsample", "subsample_fraction", float, "row fraction drawn per stage"),
+    ("--seed", "seed", int, "random seed"),
+)
 
 
 def _config_from_args(args) -> BoostConfig:
-    given = {f.name: getattr(args, f.name, None) for f in fields(BoostConfig)}
-    return BoostConfig(**{k: v for k, v in given.items() if v is not None})
+    """The BoostConfig of the boosting flags given, each set in turn so that
+    a value BoostConfig rejects is named by its flag."""
+    config = BoostConfig()
+    for flag, field, _, _ in BOOST_FLAGS:
+        if getattr(args, field) is not None:
+            with naming(flag):
+                config = replace(config, **{field: getattr(args, field)})
+    if config.learn_rate == 0:  # BoostConfig keeps 0 for brtm/1 files: such a model only ever predicts f0
+        raise ValueError("--learn-rate: learn_rate must be above 0 to train")
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -228,6 +237,9 @@ def cmd_pdp(args) -> int:
 
 
 def cmd_build_data(args) -> int:
+    if args.rain_mean is not None:
+        with naming("--rain-mean"):  # before any raw file is read
+            monsoon_deviation({}, args.rain_mean)
     series = load_raw_directory(args.raw)  # names the file at fault
     with naming(args.raw):  # the series disagree: name the directory that holds them
         dataset, provenance = assemble_model_table(
@@ -248,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit a model and write fit diagnostics")
     p.add_argument("data", help="model-table CSV")
     p.add_argument("--out", default=".", help="output directory")
-    _add_boost_flags(p)
+    for flag, field, kind, help in BOOST_FLAGS:
+        p.add_argument(flag, type=kind, dest=field, metavar=flag[2:].upper().replace("-", "_"), help=help)
     p.add_argument("--stride", type=int, default=None, help="staged-curve stride (default n_trees/500)")
     p.add_argument("--roc-threshold", default="median", help="median | mean | value:x")
     p.set_defaults(func=cmd_train)

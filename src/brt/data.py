@@ -433,6 +433,8 @@ def monsoon_deviation(
 def load_raw_directory(raw_dir) -> SeriesTable:
     """Load every known raw series CSV found in a directory."""
     raw_dir = Path(raw_dir)
+    if not raw_dir.is_dir():
+        raise ValueError(f"{raw_dir}: not a directory")
     table = SeriesTable()
     for name, schema in RAW_SCHEMAS.items():
         path = raw_dir / f"{name}.csv"

@@ -136,12 +136,10 @@ def predict_tree(tree: RegressionTree, sample) -> float:
     return float(tree.predict_batch(x[None, :])[0])
 
 
-def split_improvements(tree: RegressionTree | np.ndarray, improvement=None, n_features=None) -> np.ndarray:
-    """Per-feature split improvement totals of a RegressionTree, or of stages' feature and improvement
-    columns over n_features: each stage's splits in node order, then a running sum in stage order."""
-    if isinstance(tree, RegressionTree):
-        tree, improvement, n_features = tree.feature, tree.improvement, tree.n_features
-    feature, improvement = np.atleast_2d(tree, improvement)
+def split_improvements(feature: np.ndarray, improvement: np.ndarray, n_features: int) -> np.ndarray:
+    """Per-feature split improvement totals of stages' feature and improvement columns (one
+    tree's arrays are one stage): each stage's splits in node order, then a running sum in stage order."""
+    feature, improvement = np.atleast_2d(feature, improvement)
     stage, node = np.nonzero(feature >= 0)
     totals = np.zeros((len(feature) + 1, n_features))  # row 0 starts the running sum
     np.add.at(totals, (stage + 1, feature[stage, node]), improvement[stage, node])
@@ -172,10 +170,6 @@ class _LRU:
         self.nbytes += nbytes
         while self.nbytes > self.budget:
             self.nbytes -= self.size(*self.entries.popitem(last=False))
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.nbytes = 0
 
 
 class _Group:
@@ -244,11 +238,11 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 class TreeFitter:
-    """Split-search machinery bound to one feature matrix.
+    """Split-search machinery bound to one feature matrix and one set of limits.
 
-    The boosting loop refits thousands of trees against the same X with
-    changing targets and row subsets, so the per-feature sort order is
-    computed once here. ``fit_tree`` wraps this for one-off use.
+    The boosting loop refits thousands of trees against the same X under the
+    same limits with changing targets and row subsets, so the per-feature
+    sort order is computed once here. ``fit_tree`` wraps this for one-off use.
 
     Most of a split search depends only on the node's row set, and
     stochastic boosting on a small table meets the same row sets over and
@@ -264,18 +258,17 @@ class TreeFitter:
       positions and the cuts that leave min_leaf rows on each side.
 
     Entries are charged their array and key bytes plus a fixed allowance
-    for the Python objects, and the counts are dropped when
-    ``min_leaf_obs`` changes. A hit skips only work whose results are
+    for the Python objects. A hit skips only work whose results are
     integers or masks; every float operation on the targets runs on the
     same operands in the same order on a hit and a miss, so the trees are
     bit-identical with and without the cache.
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, limits: TreeLimits):
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("samples must be a 2-D feature matrix")
-        self.X = X
+        self.limits = limits
         self.XT = np.ascontiguousarray(X.T)
         n, d = X.shape
         # Row ids are held in the smallest unsigned dtype that holds them, so
@@ -290,21 +283,17 @@ class TreeFitter:
         budget = SEARCH_CACHE_BYTES
         self._groups = _LRU(budget - budget // 4, _group_size)
         self._counts = _LRU(budget // 4, lambda key, counts: counts.nbytes)
-        self._min_leaf = None
 
-    def fit(self, targets: np.ndarray, rows: np.ndarray, limits: TreeLimits, out: dict) -> tuple[int, np.ndarray]:
+    def fit(self, targets: np.ndarray, rows: np.ndarray, out: dict) -> tuple[int, np.ndarray]:
         """Fit a tree to targets on the ascending row ids ``rows`` (so each node's
         rows, and its targets' sums, are ascending too) and write node i's
         NODE_FIELDS into ``out[name][i]``, whose entries hold leaf placeholders.
         Return the node count and ``leaf``: ``leaf[r]`` is the leaf that row r
         of X reaches, in ``rows`` or not. An expansion routes the rows at its
         node once; a child's rows are those of its parent that reach it."""
-        y = targets
+        y, max_nodes = targets, self.limits.max_nodes
         rows = np.asarray(rows, dtype=np.intp)
-        if limits.min_leaf_obs != self._min_leaf:
-            self._counts.clear()  # the min_leaf window; groups do not depend on it
-            self._min_leaf = limits.min_leaf_obs
-        leaf = np.zeros(self.X.shape[0], dtype=np.intp)
+        leaf = np.zeros(self.XT.shape[1], dtype=np.intp)
 
         def add_leaf(i, leaf_rows) -> float:
             """Write the value of leaf i, on leaf_rows; return the sum of their targets."""
@@ -317,7 +306,7 @@ class TreeFitter:
         # Cuts past a node's last finite value divide by zero; they are masked.
         with np.errstate(divide="ignore", invalid="ignore"):
             self._search(y, 0, rows, add_leaf(0, rows), heap)
-            while heap and count + 2 <= limits.max_nodes:
+            while heap and count + 2 <= max_nodes:
                 _, i, split, node_rows = heapq.heappop(heap)
                 left, right = count, count + 1
                 for name, v in {**split, "left": left, "right": right}.items():
@@ -325,7 +314,7 @@ class TreeFitter:
                 route(leaf, i, self.XT[split["feature"]], split["threshold"], split["missing_right"], left, right)
                 count += 2
                 # Only search the new leaves if one more expansion could still fit.
-                worth_searching = count + 2 <= limits.max_nodes
+                worth_searching = count + 2 <= max_nodes
                 for child in (left, right):
                     child_rows = node_rows[leaf[node_rows] == child]
                     total = add_leaf(child, child_rows)
@@ -362,7 +351,7 @@ class TreeFitter:
             k, miss_bytes = key
             if n_miss is None:
                 n_miss = np.frombuffer(miss_bytes).reshape(-1, 1)
-            counts = _Counts(key, n_miss, self._cnt_left[: k - 1], self._min_leaf)
+            counts = _Counts(key, n_miss, self._cnt_left[: k - 1], self.limits.min_leaf_obs)
             self._counts.put(key, counts)
         return counts
 
@@ -375,7 +364,7 @@ class TreeFitter:
         removes error, push nothing.
         """
         k = rows.size
-        if self.XT.shape[0] == 0 or k < max(2, 2 * self._min_leaf):
+        if self.XT.shape[0] == 0 or k < max(2, 2 * self.limits.min_leaf_obs):
             return
         g, counts = self._group(rows)
         sel = g.sel
@@ -487,5 +476,5 @@ def fit_tree(samples, targets, limits: TreeLimits | None = None) -> RegressionTr
     if not np.all(np.isfinite(y)):
         raise ValueError("targets must be finite")
     out = {k: np.full(limits.widest(X.shape[0]), pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
-    count, _ = TreeFitter(X).fit(y, np.arange(X.shape[0]), limits, out)
+    count, _ = TreeFitter(X, limits).fit(y, np.arange(X.shape[0]), out)
     return RegressionTree(*(out[k][:count] for k in NODE_FIELDS), X.shape[1])

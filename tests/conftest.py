@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brt.boosting import BoostConfig, fit_ensemble
+from brt.boosting import BoostConfig, BoostedModel, fit_ensemble, node_columns
 from brt.data import Dataset
 from brt.standin import load_bundled
+from brt.tree import NODE_FIELDS, RegressionTree
 
 
 def random_dataset(rng: np.random.Generator, n_rows: int, n_features: int, missing=False) -> Dataset:
@@ -19,6 +20,24 @@ def random_dataset(rng: np.random.Generator, n_rows: int, n_features: int, missi
         X[holes] = np.nan
     y = rng.uniform(-3.0, 3.0, size=n_rows)
     return Dataset.from_arrays(X, y)
+
+
+def model_of(stages, config, feature_names, f0=0.0) -> BoostedModel:
+    """The model of the (tree, gamma) pairs ``stages``, its columns padded
+    from the trees' arrays by node_columns."""
+    trees, gammas = zip(*stages) if stages else ((), ())
+    count = np.array([t.node_count for t in trees], dtype=np.intp)
+    nodes = {k: np.concatenate([getattr(t, k) for t in trees] or [[]]) for k in NODE_FIELDS}
+    gamma = np.array(gammas, dtype=np.float64)
+    return BoostedModel(f0, config, tuple(feature_names), gamma, count, node_columns(count, nodes))
+
+
+def stage_trees(model) -> list[tuple[RegressionTree, float]]:
+    """(tree, gamma) of each stage, the tree made from row m of the model's columns."""
+    return [
+        (RegressionTree(*(model.nodes[k][m, :count] for k in NODE_FIELDS), model.n_features), gamma)
+        for m, (count, gamma) in enumerate(zip(model.node_count.tolist(), model.gamma.tolist()))
+    ]
 
 
 def lattice_dataset(fn, lo=0.0, hi=2.0, side=5) -> Dataset:

@@ -24,7 +24,7 @@ from brt.model_io import load_model, save_model
 from brt import tree as tree_module
 from brt.tree import RegressionTree, TreeFitter, TreeLimits, fit_tree
 
-from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
+from conftest import assert_peak_flat, column_bytes, model_of, random_dataset, stage_trees, traced_peak
 from oracles import naive_boost, naive_boost_predict
 
 
@@ -146,11 +146,10 @@ class TestFitEnsemble:
         a = fit_ensemble(ds, cfg)
         b = fit_ensemble(ds, cfg)
         assert a.f0 == b.f0
-        for sa, sb in zip(a.stages, b.stages):
-            assert sa.gamma == sb.gamma
-            assert sa.tree.feature.tolist() == sb.tree.feature.tolist()
-            assert sa.tree.threshold.tolist() == sb.tree.threshold.tolist()
-            assert sa.tree.value.tolist() == sb.tree.value.tolist()
+        assert a.gamma.tolist() == b.gamma.tolist()
+        assert a.node_count.tolist() == b.node_count.tolist()
+        for k in ("feature", "threshold", "value"):
+            assert a.nodes[k].tolist() == b.nodes[k].tolist(), k
 
     def test_subsample_count_floor_and_minimum(self):
         # n=25, fraction 0.95 -> 23 rows per stage; tiny fractions draw 2
@@ -291,11 +290,12 @@ def test_property_both_fits_stay_within_the_widest_tree(case):
     assert model.node_count.max() <= limits.widest(max(2, math.floor(config.subsample_fraction * n)))
 
 
-def _fit(fitter, y, rows, limits):
+def _fit(fitter, y, rows):
     """fitter.fit into fresh leaf-placeholder buffers: the node count, the
     buffers and each row's leaf."""
-    out = {k: np.full(limits.max_nodes, pad, dtype) for k, (dtype, pad) in tree_module.NODE_FIELDS.items()}
-    count, leaf = fitter.fit(y, rows, limits, out)
+    width = fitter.limits.max_nodes
+    out = {k: np.full(width, pad, dtype) for k, (dtype, pad) in tree_module.NODE_FIELDS.items()}
+    count, leaf = fitter.fit(y, rows, out)
     return count, out, leaf
 
 
@@ -318,12 +318,12 @@ class TestSearchCache:
         rng = np.random.default_rng(4)
         jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, k, 40, 5)]
         monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 22)  # room for every row set met
-        warm = TreeFitter(data.X)
+        warm = TreeFitter(data.X, limits)
         for y, rows in jobs:
-            _fit(warm, y, rows, limits)
+            _fit(warm, y, rows)
         cached = dict(warm._groups.entries)
         for y, rows in jobs:
-            _assert_same_fit(_fit(warm, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
+            _assert_same_fit(_fit(warm, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
         # Every search of the second pass was a hit: nothing was built or dropped.
         assert warm._groups.entries.keys() == cached.keys()
         assert all(warm._groups.entries[key] is entry for key, entry in cached.items())
@@ -333,26 +333,16 @@ class TestSearchCache:
         rng = np.random.default_rng(6)
         row_sets = _row_sets(data.n_rows, k, 12, 7)
         monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 8_000)
-        small = TreeFitter(data.X)
+        small = TreeFitter(data.X, limits)
         stored = set()
         put = small._groups.put
         small._groups.put = lambda key, group: (stored.add(key), put(key, group))
         for _ in range(6):
             y = rng.normal(size=data.n_rows)
             for rows in row_sets:
-                _assert_same_fit(_fit(small, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
+                _assert_same_fit(_fit(small, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
         assert all(cache.nbytes <= cache.budget for cache in (small._groups, small._counts))
         assert 0 < len(small._groups.entries) < len(stored)  # entries were dropped to stay in budget
-
-
-def test_search_cache_is_per_min_leaf():
-    data = _standin()
-    rng = np.random.default_rng(9)
-    fitter = TreeFitter(data.X)
-    for rows in _row_sets(data.n_rows, 23, 10, 3) * 2:
-        y = rng.normal(size=data.n_rows)
-        for limits in (TreeLimits(6, 1), TreeLimits(6, 5)):
-            _assert_same_fit(_fit(fitter, y, rows, limits), _fit(TreeFitter(data.X), y, rows, limits))
 
 
 def test_fit_ensemble_builds_no_tree_and_routes_no_batch(monkeypatch):
@@ -388,15 +378,8 @@ class TestPredict:
         assert predict(m, [4.0], n_stages=0) == m.f0
 
     def test_single_stage_hand_example(self):
-        from brt.boosting import BoostedModel, Stage
-
         stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [4.0], [0.0], 1)
-        model = BoostedModel.from_stages(
-            f0=1.0,
-            stages=(Stage(stump, 1.0),),
-            config=BoostConfig(n_trees=1, learn_rate=0.5, min_leaf_obs=1),
-            feature_names=("x0",),
-        )
+        model = model_of([(stump, 1.0)], BoostConfig(n_trees=1, learn_rate=0.5, min_leaf_obs=1), ("x0",), f0=1.0)
         assert predict(model, [0.0]) == 1.0 + 0.5 * 4.0
 
     def test_arity_mismatch(self, model):
@@ -489,8 +472,8 @@ def _structure_key(tree):
 def _stage_loop(model, X, k):
     """Reference sum, one whole tree at a time: f0 + sum (lr*gamma_m) * tree_m(X)."""
     acc = np.full(X.shape[0], model.f0)
-    for stage in model.stages[:k]:
-        acc += (model.config.learn_rate * stage.gamma) * stage.tree.predict_batch(X)
+    for tree, gamma in stage_trees(model)[:k]:
+        acc += (model.config.learn_rate * gamma) * tree.predict_batch(X)
     return acc
 
 
@@ -520,13 +503,11 @@ def _tree(feature, threshold, missing_right, value):
 class TestPackedPrediction:
     def test_standin_model_reuses_structures_and_matches_stage_loop(self, standin_model):
         model, data = standin_model
-        assert len({_structure_key(s.tree) for s in model.stages}) < model.n_stages / 2
+        assert len({_structure_key(t) for t, _ in stage_trees(model)}) < model.n_stages / 2
         X = np.vstack([data.X, np.where(np.eye(data.X.shape[1], dtype=bool), np.nan, data.X[0])])
         _assert_every_prefix_matches_stage_loop(model, X)
 
     def test_mixed_node_counts_and_missing_both_ways_match_stage_loop(self):
-        from brt.boosting import BoostedModel, Stage
-
         a = ([0, -1, -1], [0.5, 0.0, 0.0], [True, False, False])  # missing goes right
         b = ([1, 0, -1, -1, -1], [-1.0, 2.0, 0.0, 0.0, 0.0], [False, False, False, False, False])  # left
         leaf = ([-1], [0.0], [False])
@@ -539,12 +520,9 @@ class TestPackedPrediction:
             _tree(*a, [0.0, 0.3, 0.9]),
             _tree(*leaf, [-0.2]),
         ]
-        model = BoostedModel.from_stages(
-            f0=0.25,
-            stages=tuple(Stage(t, g) for t, g in zip(trees, (1.0, 0.9, 1.1, 1.0 + 2**-40, 0.3, 2.0, 1.0))),
-            config=BoostConfig(n_trees=len(trees), learn_rate=0.37),
-            feature_names=("x0", "x1"),
-        )
+        gammas = (1.0, 0.9, 1.1, 1.0 + 2**-40, 0.3, 2.0, 1.0)
+        config = BoostConfig(n_trees=len(trees), learn_rate=0.37)
+        model = model_of(list(zip(trees, gammas)), config, ("x0", "x1"), f0=0.25)
         nan, inf = np.nan, np.inf
         X = np.array([
             [nan, nan], [0.5, -1.0], [2.0, 2.0], [nan, -3.0], [4.0, nan],
@@ -571,12 +549,12 @@ class TestPackedPrediction:
             calls.clear()
             predict_batch(model, data.X, n_stages=k)
             routed = [key for block, _ in calls for key in block]
-            assert len(routed) == len(set(routed)) == len({_structure_key(s.tree) for s in model.stages[:k]})
+            assert len(routed) == len(set(routed)) == len({_structure_key(t) for t, _ in stage_trees(model)[:k]})
             assert all(rows == data.n_rows for _, rows in calls)
         calls.clear()
         staged_metric(model, data, stride=1)
         routed = [key for block, _ in calls for key in block]
-        assert len(routed) == len(set(routed)) == len({_structure_key(s.tree) for s in model.stages})
+        assert len(routed) == len(set(routed)) == len({_structure_key(t) for t, _ in stage_trees(model)})
 
     def test_prediction_builds_no_tree(self, standin_model, monkeypatch):
         model, data = standin_model
@@ -588,6 +566,18 @@ class TestPackedPrediction:
         monkeypatch.setattr(RegressionTree, "__init__", refuse)
         assert (predict_batch(model, data.X).tobytes(), staged_metric(model, data).points) == want
         assert predict(model, data.X[0]) == predict_batch(model, data.X)[0]
+
+    def test_stages_view_is_row_m_of_the_columns(self, standin_model):
+        model, _ = standin_model
+        stages = model.stages
+        assert len(stages) == model.n_stages
+        for m in (0, 1, model.n_stages - 1, -1):
+            stage = stages[m]
+            assert stage.gamma == model.gamma[m] and stage.tree.n_features == model.n_features
+            for k in tree_module.NODE_FIELDS:
+                got, want = getattr(stage.tree, k), model.nodes[k][m, : model.node_count[m]]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, k)
+        assert [s.gamma for s in stages[2:5]] == model.gamma[2:5].tolist()
 
 
 def _tiled(model, n_stages):

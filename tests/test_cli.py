@@ -101,6 +101,23 @@ class TestTrain:
         assert (code, err) == (1, f"error: --stride must be at least 1, got {flags[1]}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trees", "-1", "n_trees must be >= 0"),
+            ("--learn-rate", "1.5", "learn_rate must be in [0, 1]"),
+            ("--learn-rate", "0", "learn_rate must be above 0 to train"),
+            ("--max-nodes", "2", "max_nodes must be at least 3"),
+            ("--min-leaf", "0", "min_leaf_obs must be at least 1"),
+            ("--subsample", "0", "subsample_fraction must be in (0, 1]"),
+        ],
+    )
+    def test_bad_boosting_flag_is_named_before_the_table_is_read(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "run"
+        code, _, err = run(["train", str(tmp_path / "absent.csv"), "--out", str(out), flag, value], capsys)
+        assert (code, err) == (1, f"error: {flag}: {message}\n")
+        assert not out.exists()
+
     def test_fit_failure_names_the_table(self, tmp_path, capsys):
         table = tmp_path / "one_row.csv"
         table.write_text("year,FCPI,MSP\n2002,1.0,2.0\n")
@@ -417,6 +434,22 @@ class TestBuildData:
             ["train", str(out / "model_table.csv"), "--out", str(out), "--trees", "5", "--min-leaf", "1"], capsys
         )
         assert code2 == 0
+
+    @pytest.mark.parametrize("value", ["-5", "0", "nan"])
+    def test_bad_rain_mean_is_named_before_any_file_is_read(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        argv = ["build-data", "--raw", str(tmp_path / "absent"), "--out", str(out), "--rain-mean", value]
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (1, "error: --rain-mean: long-term mean must be positive\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.write_text("year,mm\n")], ids=["absent", "file"])
+    def test_raw_that_is_not_a_directory_is_named(self, tmp_path, capsys, make):
+        raw, out = tmp_path / "raw", tmp_path / "o"
+        make(raw)
+        code, _, err = run(["build-data", "--raw", str(raw), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: {raw}: not a directory\n")
+        assert not out.exists()
 
     def test_missing_series_is_runtime_error(self, tmp_path, capsys):
         write_toy_raw(tmp_path / "raw")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brt import boosting, interpret
-from brt.boosting import BoostConfig, BoostedModel, Stage, fit_ensemble, predict, predict_batch, staged_metric
+from brt.boosting import BoostConfig, BoostedModel, fit_ensemble, predict, predict_batch, staged_metric
 from brt.data import Dataset
 from brt.interpret import (
     interaction_report,
@@ -20,7 +20,7 @@ from brt.interpret import (
 from brt.model_io import load_model, save_model
 from brt.tree import RegressionTree
 
-from conftest import lattice_dataset, random_dataset
+from conftest import lattice_dataset, model_of, random_dataset, stage_trees
 from oracles import naive_flat_leaf, naive_interaction, naive_pd_1d, naive_pd_2d, stage_influence
 from test_boosting import GOLDEN_MODELS
 
@@ -28,8 +28,7 @@ from test_boosting import GOLDEN_MODELS
 def make_manual_model(trees_gammas, n_features, lr=1.0, f0=0.0):
     names = tuple(f"x{i}" for i in range(n_features))
     cfg = BoostConfig(n_trees=len(trees_gammas), learn_rate=lr, min_leaf_obs=1)
-    stages = tuple(Stage(t, g) for t, g in trees_gammas)
-    return BoostedModel.from_stages(f0=f0, stages=stages, config=cfg, feature_names=names)
+    return model_of(trees_gammas, cfg, names, f0=f0)
 
 
 def split_tree(feature, threshold, left_val, right_val, n_features, improvement=1.0):
@@ -387,14 +386,14 @@ class TestInteractionsPerStructure:
             for max_nodes in (6, 13):
                 cfg = dict(n_trees=15, learn_rate=0.3, min_leaf_obs=1, subsample_fraction=0.8, seed=seed + 1)
                 model = fit_ensemble(ds, BoostConfig(max_nodes=max_nodes, **cfg))
-                split_counts |= {len(split_features(s.tree.feature)) for s in model.stages}
-                shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree.feature), 2)}
+                trees = stage_trees(model)
+                split_counts |= {len(split_features(t.feature)) for t, _ in trees}
+                shared = {p for t, _ in trees for p in itertools.combinations(split_features(t.feature), 2)}
                 lr = model.config.learn_rate
                 walk = []  # per stage: the flat tree as lists, and its scaled leaf values
-                for stage in model.stages:
-                    t = stage.tree
+                for t, gamma in trees:
                     arrays = [a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)]
-                    walk.append((arrays, (lr * stage.gamma) * t.value))
+                    walk.append((arrays, (lr * gamma) * t.value))
 
                 def predict_fn(row):
                     acc = model.f0
@@ -569,8 +568,8 @@ class TestFactorisedKernelProperty:
         model = random_model(draw, [random_tree(draw, d) for _ in range(draw(st.integers(1, 3)))], d)
         records = random_records(draw, d, n)
         rows = [list(r) for r in records.X]
-        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)], g * t.value)
-                for t, g in ((s.tree, model.config.learn_rate * s.gamma) for s in model.stages)]
+        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)],
+                 (model.config.learn_rate * gamma) * t.value) for t, gamma in stage_trees(model)]
 
         def predict_fn(row):
             acc = model.f0
@@ -591,7 +590,7 @@ class TestFactorisedKernelProperty:
         want = naive_pd_2d(predict_fn, rows, k, j, list(s.grid_j), list(s.grid_k))
         assert all(close(a, b) for got_row, want_row in zip(s.values, want) for a, b in zip(got_row, want_row))
 
-        shared = {p for s in model.stages for p in itertools.combinations(split_features(s.tree.feature), 2)}
+        shared = {p for t, _ in stage_trees(model) for p in itertools.combinations(split_features(t.feature), 2)}
         outputs = [predict_fn(r) for r in rows]
         refs = {"response": list(records.y)}
         if len(set(outputs)) > 1:
@@ -631,8 +630,8 @@ class TestFactorisedKernelProperty:
 
         want = everything()
         stage_loop = [np.full(n, model.f0)]  # one tree at a time, by the tree's own walk
-        for s in model.stages:
-            stage_loop.append(stage_loop[-1] + (model.config.learn_rate * s.gamma) * s.tree.predict_batch(records.X))
+        for t, gamma in stage_trees(model):
+            stage_loop.append(stage_loop[-1] + (model.config.learn_rate * gamma) * t.predict_batch(records.X))
         assert want[-len(stage_loop) :] == [a.tobytes() for a in stage_loop]
         for budget in (1, draw(st.integers(1, 2000))):
             with pytest.MonkeyPatch.context() as mp:
@@ -663,8 +662,8 @@ class TestLeafChildPlaceholders:
         X = np.array([[0.2, 0.1, 0.9], [0.7, np.nan, 0.3], [0.5, 0.3, 0.4], [0.1, 0.8, np.nan], [0.9, 0.2, 0.6]])
         records = Dataset.from_arrays(X, np.arange(5, dtype=float) ** 2)
         rows = [list(r) for r in X]
-        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)], g * t.value)
-                for t, g in ((s.tree, model.config.learn_rate * s.gamma) for s in model.stages)]
+        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)],
+                 (model.config.learn_rate * gamma) * t.value) for t, gamma in stage_trees(model)]
 
         def predict_fn(row):  # walks splits only, so never reads a leaf's children
             acc = model.f0

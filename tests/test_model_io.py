@@ -13,7 +13,7 @@ from brt.boosting import BoostConfig, fit_ensemble, predict, predict_batch
 from brt.model_io import FORMAT_VERSION, ModelParseError, _stage_columns, load_model, save_model
 from brt.tree import NODE_FIELDS
 
-from conftest import assert_peak_flat, column_bytes, random_dataset, traced_peak
+from conftest import assert_peak_flat, column_bytes, random_dataset, stage_trees, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -466,10 +466,9 @@ def _reference_text(model) -> str:
         "n_stages": model.n_stages,
     }
     lines = [FORMAT_VERSION, dump(header)]
-    for stage in model.stages:
-        tree = stage.tree
+    for tree, gamma in stage_trees(model):
         nodes = {k: getattr(tree, k).tolist() for k in NODE_FIELDS}
-        lines.append(dump({"gamma": stage.gamma, **nodes}))
+        lines.append(dump({"gamma": gamma, **nodes}))
     return "\n".join(lines) + "\n"
 
 

@@ -126,10 +126,10 @@ def test_bundled_table_single_tree_limits():
 
 def test_split_improvements_examples():
     stump = fit_tree(np.array([[1.0], [2.0]]), [3.0, 3.0], TreeLimits(3, 1))
-    assert split_improvements(stump).tolist() == [0.0]
+    assert split_improvements(stump.feature, stump.improvement, stump.n_features).tolist() == [0.0]
 
     tree = two_leaf_tree()
-    assert split_improvements(tree).tolist() == [100.0]
+    assert split_improvements(tree.feature, tree.improvement, tree.n_features).tolist() == [100.0]
 
     manual = RegressionTree(
         feature=[0, 0, -1, -1, 1, -1, -1],
@@ -141,7 +141,7 @@ def test_split_improvements_examples():
         improvement=[8.0, 2.0, 0.0, 0.0, 5.0, 0.0, 0.0],
         n_features=2,
     )
-    assert split_improvements(manual).tolist() == [10.0, 5.0]
+    assert split_improvements(manual.feature, manual.improvement, manual.n_features).tolist() == [10.0, 5.0]
 
 
 def test_improvement_identity_against_recomputed_sse():
@@ -361,7 +361,7 @@ def test_property_fit_leaves_match_naive_walker(case):
     where the written tree routes it."""
     X, y, rows, limits = case
     out = {k: np.full(limits.max_nodes, pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
-    count, leaf = TreeFitter(X).fit(y, rows, limits, out)
+    count, leaf = TreeFitter(X, limits).fit(y, rows, out)
     arrays = [out[k][:count].tolist() for k in ("feature", "threshold", "missing_right", "left", "right")]
     assert leaf.tolist() == [naive_flat_leaf(*arrays, row) for row in X.tolist()]
     for k, (dtype, pad) in NODE_FIELDS.items():  # past the tree, the placeholders are untouched
