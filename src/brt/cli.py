@@ -56,9 +56,24 @@ def _config_from_args(args) -> BoostConfig:
         if getattr(args, field) is not None:
             with naming(flag):
                 config = replace(config, **{field: getattr(args, field)})
-    if config.learn_rate == 0:  # BoostConfig keeps 0 for brtm/1 files: such a model only ever predicts f0
+    # BoostConfig keeps both for brtm/1 files, but a model trained with them is
+    # no use: a learn rate of 0 only ever predicts f0, and the generator would
+    # take a seed outside 64 bits modulo 2**64, as another seed.
+    if config.learn_rate == 0:
         raise ValueError("--learn-rate: learn_rate must be above 0 to train")
+    if not 0 <= config.seed < 2**64:
+        raise ValueError(f"--seed: seed must be in [0, 2**64), got {config.seed}")
     return config
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out whose nearest existing ancestor, itself if it exists,
+    is not a directory, before anything is read or made."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists() or path.is_symlink():
+            if not path.is_dir():
+                raise ValueError(f"--out: {path} is not a directory")
+            return
 
 
 def _out_dir(args) -> Path:
@@ -304,6 +319,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)  # every command writes to --out
         return args.func(args)
     except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)

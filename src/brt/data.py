@@ -187,12 +187,13 @@ def _decode(raw: bytes, first_line: int = 1) -> str:
 def _read_rows(source) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """(header cells, [(row number, cells)] of the rows below it); blank
     rows are skipped and not counted, and the header is row 1. A path is
-    read as Path.read_text reads it, CRLF and lone CR line ends made LF."""
+    read as Path.read_text reads it, CRLF and lone CR line ends made LF. One
+    byte-order mark (U+FEFF) at the start of the text is dropped."""
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = _decode(Path(source).read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except csv.Error as e:

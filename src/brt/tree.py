@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -146,93 +146,16 @@ def split_improvements(feature: np.ndarray, improvement: np.ndarray, n_features:
     return np.add.accumulate(totals, out=totals)[-1]
 
 
-class _LRU:
-    """Cache entries held under a byte budget, least recently used dropped
-    first; ``size(key, value)`` is what an entry is charged."""
-
-    def __init__(self, budget: int, size):
-        self.budget = budget
-        self.size = size
-        self.entries: OrderedDict = OrderedDict()
-        self.nbytes = 0
-
-    def get(self, key):
-        value = self.entries.get(key)
-        if value is not None:
-            self.entries.move_to_end(key)
-        return value
-
-    def put(self, key, value) -> None:
-        nbytes = self.size(key, value)
-        if nbytes > self.budget:
-            return
-        self.entries[key] = value
-        self.nbytes += nbytes
-        while self.nbytes > self.budget:
-            self.nbytes -= self.size(*self.entries.popitem(last=False))
-
-
-class _Group:
-    """The target-free part of the split search for one row set: ``sel``,
-    the rows in each feature's value order (NaNs last), ``valid``, the cuts
-    after which the next value differs and is finite, and ``counts_key``,
-    which names the shared _Counts of the row count and NaN counts."""
-
-    __slots__ = ("sel", "valid", "counts_key")
-
-    def __init__(self, sel, valid, counts_key):
-        self.sel = sel
-        self.valid = valid
-        self.counts_key = counts_key
-
-
-def _group_size(key, group: _Group) -> int:
-    return len(key) + group.sel.nbytes + group.valid.nbytes + _ENTRY_OVERHEAD
-
-
-class _Counts:
-    """What the search needs of a row count ``k`` and the NaN count of each
-    feature ``n_miss`` alone, shared through the cache keyed on ``key`` by
-    every row set with the same ones (in a node without NaN they do not
-    depend on the feature, so all row sets of one size share one).
-
-    ``num``/``den`` stack the two routings of the missing rows as the scores
-    use them: ``num`` is [rows left with missing rows left, rows left] and
-    ``den`` [rows right, rows right with missing rows right]. ``miss`` marks
-    the NaN positions (the last ones of each feature) and ``window`` the cuts
-    that leave min_leaf rows on both sides, for each routing.
-    """
-
-    __slots__ = ("key", "n_miss", "num", "den", "miss", "window")
-
-    def __init__(self, key, n_miss, cnt_left, min_leaf):
-        self.key = key  # (k, n_miss bytes); groups keep this one object
-        k = key[0]
-        self.n_miss = n_miss
-        n_fin = k - n_miss
-        self.num = num = np.empty((2, n_miss.shape[0], cnt_left.size))
-        self.den = den = np.empty(num.shape)
-        np.add(cnt_left, n_miss, out=num[0])
-        num[1] = cnt_left
-        np.subtract(n_fin, cnt_left, out=den[0])
-        np.add(den[0], n_miss, out=den[1])
-        self.miss = np.arange(k) >= n_fin
-        self.window = (num >= min_leaf) & (den >= min_leaf)
-
-    @property
-    def nbytes(self) -> int:
-        arrays = (self.n_miss, self.num, self.den, self.miss, self.window)
-        return sum(a.nbytes for a in arrays) + 3 * _ENTRY_OVERHEAD
-
-
-# Bytes that the search caches of one TreeFitter hold at most. Flagship
-# fits (25 rows, 7 features) need about 600 KB to keep every row set they
-# meet; at 384 KiB 64% of their searches hit (76% at 512 KiB, 49% at 256),
-# and peak RSS stays within 1% of a fit without the cache.
+# Bytes that the search caches of one TreeFitter hold at most. A 1,200-stage
+# flagship fit (25 rows, 7 features) at seed 1 meets 549 distinct row sets; at
+# 384 KiB its row-set cache holds 335 and 61% of its searches hit (46% at 256
+# KiB, 72% at 512), and its counts cache holds 14 and 89% hit.
 SEARCH_CACHE_BYTES = 3 << 17
-# Allowance per cache entry for its Python objects (dict slot, key, entry
-# object, array headers), from tracemalloc on a flagship fit; a _Counts
-# entry, with five arrays, is charged three.
+# Allowance per cache entry for its Python objects (lru_cache link and dict
+# slot, key tuple, result tuple, bytes and array headers), from tracemalloc on
+# the flagship and diverse fits: a row-set entry holds about 450 to 520 bytes
+# beside its arrays and keys, a counts entry, with five arrays, about 1,000 to
+# 1,080, and is charged two.
 _ENTRY_OVERHEAD = 512
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -248,20 +171,34 @@ class TreeFitter:
     stochastic boosting on a small table meets the same row sets over and
     over: in a 1,200-stage flagship fit at seed 1, the 2,639 searches of
     nodes large enough to split meet only 549 distinct row sets. So that
-    part is cached, in two LRU caches that share ``SEARCH_CACHE_BYTES``:
+    part is cached, in two ``functools.lru_cache`` wrappers of this fitter's
+    own that share ``SEARCH_CACHE_BYTES``:
 
-    - a _Group per row set, keyed on the row ids' bytes: the rows in each
-      feature's value order and the cuts between distinct finite values
-      (three quarters of the budget);
-    - a _Counts per row count and NaN counts, shared by all row sets with
-      the same ones: the row counts on each side of every cut, the NaN
-      positions and the cuts that leave min_leaf rows on each side.
+    - ``_row_set(key)``, on the row ids' bytes (three quarters of the
+      budget), returns ``sel``, the rows in each feature's value order (NaNs
+      last), ``valid``, the cuts after which the next value differs and is
+      finite, and the bytes of each feature's NaN count;
+    - ``_counts(k, NaN counts' bytes)``, shared by every row set with the
+      same row count and NaN counts (in a node without NaN they do not
+      depend on the feature, so all row sets of one size share one),
+      returns ``n_miss``, the NaN counts, ``num``/``den``, the row counts of
+      the two routings of the missing rows as the scores use them (``num``
+      is [rows left with missing rows left, rows left] and ``den`` [rows
+      right, rows right with missing rows right]), ``miss``, the NaN
+      positions (the last ones of each feature), and ``window``, the cuts
+      that leave min_leaf rows on both sides, for each routing.
 
-    Entries are charged their array and key bytes plus a fixed allowance
-    for the Python objects. A hit skips only work whose results are
-    integers or masks; every float operation on the targets runs on the
-    same operands in the same order on a hit and a miss, so the trees are
-    bit-identical with and without the cache.
+    Each cache's ``maxsize`` is its share of the budget over the bytes of
+    the largest entry this table can make, that of all its rows: its arrays
+    and key plus ``_ENTRY_OVERHEAD`` (the NaN counts' bytes are charged to
+    the counts, whose key they are). So the bound holds whatever row sets
+    come, and a share too small for one entry caches nothing. The wrapped
+    functions close over the fitter's arrays, not the fitter, so no
+    reference cycle keeps a fitter alive, and no two fitters share an
+    entry. A hit skips only work whose results are integers or masks; every
+    float operation on the targets runs on the same operands in the same
+    order on a hit and a miss, so the trees are bit-identical with and
+    without the cache.
     """
 
     def __init__(self, X: np.ndarray, limits: TreeLimits):
@@ -269,20 +206,50 @@ class TreeFitter:
         if X.ndim != 2:
             raise ValueError("samples must be a 2-D feature matrix")
         self.limits = limits
-        self.XT = np.ascontiguousarray(X.T)
+        self.XT = XT = np.ascontiguousarray(X.T)
         n, d = X.shape
         # Row ids are held in the smallest unsigned dtype that holds them, so
         # that cached row sets stay small.
-        self.row_dtype = np.min_scalar_type(max(n - 1, 0))
+        self.row_dtype = row_dtype = np.min_scalar_type(max(n - 1, 0))
         # Row ids per feature in ascending value order, NaNs last; stable so
         # equal values keep row order.
-        self.orders = np.argsort(self.XT, axis=1, kind="stable").astype(self.row_dtype)
-        self._offsets = (np.arange(d) * n)[:, None]  # start of each feature in XT.ravel()
-        self._cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
-        # Three quarters of the budget for groups, one for the shared counts.
+        orders = np.argsort(XT, axis=1, kind="stable").astype(row_dtype)
+        offsets = (np.arange(d) * n)[:, None]  # start of each feature in XT.ravel()
+        cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
+        min_leaf = limits.min_leaf_obs
+
+        def row_set(key: bytes) -> tuple:
+            rows = np.frombuffer(key, dtype=row_dtype)
+            in_node = np.zeros(n, dtype=bool)
+            in_node[rows] = True
+            # Row-major boolean pick keeps each feature's value order; every
+            # feature row holds the same node rows, so the reshape is exact. The
+            # copy lets the entry hold one array, not a view and its base.
+            sel = orders[in_node[orders]].reshape(d, rows.size).copy()
+            vals = XT.ravel()[sel + offsets]
+            valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
+            n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)
+            return sel, valid, n_miss.tobytes()
+
+        def counts(k: int, miss_bytes: bytes) -> tuple:
+            n_miss, cnt = np.frombuffer(miss_bytes)[:, None], cnt_left[: k - 1]
+            n_fin = k - n_miss
+            num = np.empty((2, d, k - 1))
+            den = np.empty(num.shape)
+            np.add(cnt, n_miss, out=num[0])
+            num[1] = cnt
+            np.subtract(n_fin, cnt, out=den[0])
+            np.add(den[0], n_miss, out=den[1])
+            return n_miss, num, den, np.arange(k) >= n_fin, (num >= min_leaf) & (den >= min_leaf)
+
+        # The largest entries, those of all n rows: a row set's key, sel and
+        # valid; a count's key bytes, num, den, miss and window.
+        cuts = d * max(n - 1, 0)
+        row_bytes = (n + d * n) * row_dtype.itemsize + cuts + _ENTRY_OVERHEAD
+        count_bytes = 8 * d + 32 * cuts + d * n + 2 * cuts + 2 * _ENTRY_OVERHEAD
         budget = SEARCH_CACHE_BYTES
-        self._groups = _LRU(budget - budget // 4, _group_size)
-        self._counts = _LRU(budget // 4, lambda key, counts: counts.nbytes)
+        self._row_set = lru_cache(maxsize=(budget - budget // 4) // row_bytes)(row_set)
+        self._counts = lru_cache(maxsize=budget // 4 // count_bytes)(counts)
 
     def fit(self, targets: np.ndarray, rows: np.ndarray, out: dict) -> tuple[int, np.ndarray]:
         """Fit a tree to targets on the ascending row ids ``rows`` (so each node's
@@ -322,39 +289,6 @@ class TreeFitter:
                         self._search(y, child, child_rows, total, heap)
         return count, leaf
 
-    def _group(self, rows: np.ndarray) -> tuple[_Group, _Counts]:
-        """The cached _Group of this row set, built and stored on a miss,
-        and its _Counts."""
-        key = rows.astype(self.row_dtype).tobytes()
-        group = self._groups.get(key)
-        if group is not None:
-            return group, self._counts_of(group.counts_key)
-
-        d, n = self.XT.shape
-        in_node = np.zeros(n, dtype=bool)
-        in_node[rows] = True
-        # Row-major boolean pick keeps each feature's value order; every
-        # feature row holds the same node rows, so the reshape is exact.
-        sel = self.orders[in_node[self.orders]].reshape(d, rows.size)
-        vals = self.XT.ravel()[sel + self._offsets]
-        valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
-        n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)[:, None]
-        counts = self._counts_of((rows.size, n_miss.tobytes()), n_miss)
-        group = _Group(sel, valid, counts.key)
-        self._groups.put(key, group)
-        return group, counts
-
-    def _counts_of(self, key, n_miss=None) -> _Counts:
-        """The cached _Counts of key = (row count, NaN counts' bytes)."""
-        counts = self._counts.get(key)
-        if counts is None:
-            k, miss_bytes = key
-            if n_miss is None:
-                n_miss = np.frombuffer(miss_bytes).reshape(-1, 1)
-            counts = _Counts(key, n_miss, self._cnt_left[: k - 1], self.limits.min_leaf_obs)
-            self._counts.put(key, counts)
-        return counts
-
     def _search(self, y, nid, rows, total, heap) -> None:
         """Push the best split of node nid, whose rows sum to ``total``, onto heap.
 
@@ -366,23 +300,23 @@ class TreeFitter:
         k = rows.size
         if self.XT.shape[0] == 0 or k < max(2, 2 * self.limits.min_leaf_obs):
             return
-        g, counts = self._group(rows)
-        sel = g.sel
+        sel, valid, miss_bytes = self._row_set(rows.astype(self.row_dtype).tobytes())
+        n_miss, num, den, miss, window = self._counts(k, miss_bytes)
         t = y[sel]
         # Axis 0 stacks the two routings of the missing rows; per element
         # score_l = sl*sl/nl + sum_right*sum_right/cnt_right and
         # score_r = cs*cs/cnt_left + sr*sr/nr, with sl = cs + s_miss,
         # sum_right = (total - s_miss) - cs and sr = sum_right + s_miss.
-        lsum = np.empty(counts.num.shape)  # [sl, cs]
-        rsum = np.empty(counts.num.shape)  # [sum_right, sr]
+        lsum = np.empty(num.shape)  # [sl, cs]
+        rsum = np.empty(num.shape)  # [sum_right, sr]
         cs = lsum[1]
         np.add.accumulate(t[:, :-1], axis=1, out=cs)  # left sums at cut after position i
-        s_miss = np.add.reduce(np.where(counts.miss, t, 0.0), axis=1)[:, None]
+        s_miss = np.add.reduce(np.where(miss, t, 0.0), axis=1)[:, None]
         np.add(cs, s_miss, out=lsum[0])
         np.subtract(total - s_miss, cs, out=rsum[0])
         np.add(rsum[0], s_miss, out=rsum[1])
-        ok = g.valid & counts.window
-        score_l, score_r = np.where(ok, lsum * lsum / counts.num + rsum * rsum / counts.den, -np.inf)
+        ok = valid & window
+        score_l, score_r = np.where(ok, lsum * lsum / num + rsum * rsum / den, -np.inf)
         prefer_left = score_l >= score_r
         score = np.where(prefer_left, score_l, score_r)
 
@@ -406,7 +340,7 @@ class TreeFitter:
         slack = 512.0 * _EPS * abs_sum * abs_sum
         close = score >= best - slack
         f, p = divmod(flat, k - 1)
-        n_miss = counts.n_miss[:, 0]
+        n_miss = n_miss[:, 0]
         if np.count_nonzero(close) > 1 or (n_miss[f] and abs(score_l[f, p] - score_r[f, p]) <= slack):
             f, p, missing_right = self._resolve_exact(y, sel, n_miss, close, score_l, score_r, slack, best)
         else:

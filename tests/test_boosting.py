@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -311,38 +312,100 @@ def _row_sets(n, k, count, seed):
     return [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)]
 
 
+def _infos(fitter):
+    return [cache.cache_info() for cache in (fitter._row_set, fitter._counts)]
+
+
+def _largest_entries(fitter):
+    """Bytes the fitter's row-set and counts caches charge for the entries of all
+    its rows, from the arrays that those entries hold."""
+    n = fitter.XT.shape[1]
+    key = np.arange(n, dtype=fitter.row_dtype).tobytes()
+    sel, valid, miss_bytes = fitter._row_set.__wrapped__(key)
+    _, num, den, miss, window = fitter._counts.__wrapped__(n, miss_bytes)
+    overhead = tree_module._ENTRY_OVERHEAD
+    return (
+        len(key) + sel.nbytes + valid.nbytes + overhead,
+        len(miss_bytes) + num.nbytes + den.nbytes + miss.nbytes + window.nbytes + 2 * overhead,
+    )
+
+
 @pytest.mark.parametrize("make_data, k, limits", [(_standin, 23, TreeLimits(6, 3)), (_nan_table, 36, TreeLimits(13, 1))])
 class TestSearchCache:
     def test_warm_fitter_gives_fresh_fitter_trees(self, make_data, k, limits, monkeypatch):
         data = make_data()
         rng = np.random.default_rng(4)
         jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, k, 40, 5)]
-        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 22)  # room for every row set met
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 25)  # room for every row set met
         warm = TreeFitter(data.X, limits)
         for y, rows in jobs:
             _fit(warm, y, rows)
-        cached = dict(warm._groups.entries)
+        cold = _infos(warm)
         for y, rows in jobs:
             _assert_same_fit(_fit(warm, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
         # Every search of the second pass was a hit: nothing was built or dropped.
-        assert warm._groups.entries.keys() == cached.keys()
-        assert all(warm._groups.entries[key] is entry for key, entry in cached.items())
+        for before, after in zip(cold, _infos(warm)):
+            assert after.hits > before.hits and after.misses == before.misses and after.currsize == before.currsize
 
     def test_cache_past_its_bound_gives_fresh_fitter_trees(self, make_data, k, limits, monkeypatch):
         data = make_data()
         rng = np.random.default_rng(6)
         row_sets = _row_sets(data.n_rows, k, 12, 7)
-        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 8_000)
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 64_000)
         small = TreeFitter(data.X, limits)
-        stored = set()
-        put = small._groups.put
-        small._groups.put = lambda key, group: (stored.add(key), put(key, group))
         for _ in range(6):
             y = rng.normal(size=data.n_rows)
             for rows in row_sets:
                 _assert_same_fit(_fit(small, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
-        assert all(cache.nbytes <= cache.budget for cache in (small._groups, small._counts))
-        assert 0 < len(small._groups.entries) < len(stored)  # entries were dropped to stay in budget
+        for info in _infos(small):
+            assert 0 < info.currsize <= info.maxsize < info.misses  # entries were dropped to stay in bound
+
+    @pytest.mark.parametrize("budget", [1 << 14, 3 << 17, 1 << 20])
+    def test_largest_entries_fit_each_share(self, make_data, k, limits, monkeypatch, budget):
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", budget)
+        fitter = TreeFitter(make_data().X, limits)
+        shares = (budget - budget // 4, budget // 4)
+        for info, entry, share in zip(_infos(fitter), _largest_entries(fitter), shares):
+            assert info.maxsize * entry <= share < (info.maxsize + 1) * entry
+
+    def test_budget_below_one_entry_caches_nothing(self, make_data, k, limits, monkeypatch):
+        data = make_data()
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", min(_largest_entries(TreeFitter(data.X, limits))))
+        bare = TreeFitter(data.X, limits)
+        monkeypatch.undo()
+        rng = np.random.default_rng(8)
+        for rows in _row_sets(data.n_rows, k, 5, 9) * 2:
+            y = rng.normal(size=data.n_rows)
+            _assert_same_fit(_fit(bare, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
+        for info in _infos(bare):
+            assert info.maxsize == info.currsize == info.hits == 0 < info.misses
+
+    def test_fitter_is_freed_without_a_collection(self, make_data, k, limits):
+        data = make_data()
+        fitter = TreeFitter(data.X, limits)
+        for rows in _row_sets(data.n_rows, k, 5, 10):
+            _fit(fitter, data.y, rows)
+        assert all(info.currsize > 0 for info in _infos(fitter))
+        ref = weakref.ref(fitter)
+        del fitter
+        assert ref() is None
+
+
+def test_fitters_on_different_tables_share_no_entry():
+    """Two fitters on tables of one shape meet the same row-set keys; each keeps its own."""
+    data = _standin()
+    limits = TreeLimits(6, 3)
+    X_a, X_b = data.X, data.X[::-1].copy()
+    a, b = TreeFitter(X_a, limits), TreeFitter(X_b, limits)
+    rng = np.random.default_rng(11)
+    jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, 23, 10, 12)]
+    for y, rows in jobs:
+        _assert_same_fit(_fit(a, y, rows), _fit(TreeFitter(X_a, limits), y, rows))
+    seen, alone = _infos(a), TreeFitter(X_b, limits)
+    for y, rows in jobs:
+        _assert_same_fit(_fit(b, y, rows), _fit(TreeFitter(X_b, limits), y, rows))
+        _fit(alone, y, rows)
+    assert _infos(a) == seen and _infos(b) == _infos(alone)
 
 
 def test_fit_ensemble_builds_no_tree_and_routes_no_batch(monkeypatch):

@@ -118,6 +118,24 @@ class TestTrain:
         assert (code, err) == (1, f"error: {flag}: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**70)])
+    def test_seed_outside_64_bits_is_named_before_the_table_is_read(self, tmp_path, capsys, seed):
+        out = tmp_path / "run"
+        code, _, err = run(["train", str(tmp_path / "absent.csv"), "--out", str(out), "--seed", seed], capsys)
+        assert (code, err) == (1, f"error: --seed: seed must be in [0, 2**64), got {seed}\n")
+        assert not out.exists()
+
+    def test_largest_seed_trains(self, tmp_path, capsys, toy_table):
+        argv = ["train", str(toy_table), "--out", str(tmp_path / "run"), "--trees", "5", "--seed", str(2**64 - 1)]
+        assert run(argv, capsys)[0] == 0
+
+    def test_table_with_a_byte_order_mark_trains_as_without(self, tmp_path, capsys, toy_table):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + toy_table.read_bytes())
+        for table, out in ((toy_table, tmp_path / "a"), (marked, tmp_path / "b")):
+            assert run(["train", str(table), "--out", str(out)] + TRAIN_FLAGS, capsys)[0] == 0
+        assert (tmp_path / "a" / "model.brtm").read_bytes() == (tmp_path / "b" / "model.brtm").read_bytes()
+
     def test_fit_failure_names_the_table(self, tmp_path, capsys):
         table = tmp_path / "one_row.csv"
         table.write_text("year,FCPI,MSP\n2002,1.0,2.0\n")
@@ -538,6 +556,34 @@ def test_mutated_input_exits_0_or_1_naming_an_input(valid_inputs, data):
             inputs = [a for a in argv[1:] if a.startswith(tmp)]
             assert code in (0, 1), argv
             assert code == 0 or any(p in err.getvalue() for p in inputs), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["train", "absent.csv"],
+        ["report", "absent.brtm", "absent.csv"],
+        ["pdp", "absent.brtm", "absent.csv", "--all"],
+        ["build-data", "--raw", "absent"],
+    ],
+    ids=["train", "report", "pdp", "build-data"],
+)
+@pytest.mark.parametrize(
+    "make, out",
+    [
+        (lambda p: p.write_text(""), "afile"),
+        (lambda p: p.write_text(""), "afile/run"),
+        (lambda p: p.symlink_to("absent"), "afile"),
+    ],
+    ids=["file", "below-file", "dangling-link"],
+)
+def test_out_under_a_file_is_named_before_any_input_is_read(tmp_path, capsys, monkeypatch, command, make, out):
+    """No input exists: the --out message shows that nothing was read, and nothing is made."""
+    monkeypatch.chdir(tmp_path)
+    make(Path("afile"))
+    code, _, err = run([*command, "--out", out], capsys)
+    assert (code, err) == (1, "error: --out: afile is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 def test_bundled_dataset_trains_quickly(tmp_path, capsys):

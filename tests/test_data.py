@@ -142,6 +142,20 @@ class TestLoadModelTable:
             ds = load_model_table(path)
             assert ds.years == (2002, 2003) and ds.y.tolist() == [1.0, 1.5]
 
+    def test_leading_byte_order_mark_is_dropped_from_a_path_or_a_stream(self, tmp_path):
+        text = "year,FCPI,MSP\n2002,1.0,2.0\n2003,1.5,NA\n"
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())  # as spreadsheets export UTF-8
+        for source in (path, io.StringIO("\ufeff" + text)):
+            ds = load_model_table(source)
+            assert ds.feature_names == ("MSP",) and ds.years == (2002, 2003) and ds.y.tolist() == [1.0, 1.5]
+
+    def test_byte_order_mark_elsewhere_is_cell_text(self):
+        with pytest.raises(ValueError, match=re.escape(r"row 1, column '\ufeffyear': missing header")):
+            load_model_table(io.StringIO("\ufeff\ufeffyear,FCPI,MSP\n2002,1.0,2.0\n"))
+        ds = load_model_table(io.StringIO("\ufeffyear,FCPI,\ufeffMSP\n2002,1.0,2.0\n"))
+        assert ds.feature_names == ("\ufeffMSP",)
+
 
 @pytest.mark.parametrize(
     "load, text, byte",
