@@ -275,24 +275,22 @@ def _blocks(ids, cells: int):
     return [ids[a : a + size] for a in range(0, len(ids), size)]
 
 
-def _pass_table(columns: dict, V: np.ndarray, cols, tests: np.ndarray) -> np.ndarray:
+def _pass_table(columns: dict, V: np.ndarray, cols) -> np.ndarray:
     """ok[s, i, row]: does V's row pass every split along the path to node i of
-    structure s that tests it? Column c of V holds values of feature cols[c],
-    and a split on that feature tests the rows where tests[c] is true; every
-    other row, and every split on a feature outside `cols`, lets it through.
-    `columns` holds structure_tables rows. One numpy step per node position
-    serves every structure, since children are numbered after their parent."""
+    structure s? Column c of V holds values of feature cols[c]; a split on a
+    feature outside `cols` lets every row through. `columns` holds
+    structure_tables rows. One numpy step per node position serves every
+    structure, since children are numbered after their parent."""
     feature, threshold, missing_right, left, right = (columns[k] for k in ROUTING)
     at = np.full(feature.shape, -1)  # the column of V holding each split's feature, -1 for none
     for c, f in enumerate(cols):
         at[feature == f] = c
     values = np.concatenate([V.T, np.zeros((1, V.shape[0]))])  # row -1 stands in for the other features
-    skips = np.concatenate([~tests, np.ones((1, V.shape[0]), dtype=bool)])
     ok = np.ones((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=bool)  # a leaf's children: -1, a spare
     every = np.arange(feature.shape[0])
     for i in range(feature.shape[1]):
-        v, t, skip = values[at[:, i]], threshold[:, i, None], skips[at[:, i]]
-        up = np.where(missing_right[:, i, None], goes_right(v, t, True), goes_right(v, t, False))
+        skip = at[:, i, None] < 0
+        up = goes_right(values[at[:, i]], threshold[:, i, None], missing_right[:, i, None])
         parent = ok[:, i]
         ok[every, left[:, i]] = parent & (skip | ~up)
         ok[every, right[:, i]] = parent & (skip | up)
@@ -317,7 +315,7 @@ def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
     # copy, and two 8-byte rows (the split values gathered at a node position, the argmax)
     for block in _blocks(np.arange(len(leaves)), (2 * scaled.shape[1] + 17) * n):
         columns = {k: model.structure_tables[k][block] for k in (*ROUTING, "leaf")}
-        ok = _pass_table(columns, X, range(d), np.ones((d, n), dtype=bool))
+        ok = _pass_table(columns, X, range(d))
         leaves[block] = (ok & columns["leaf"][:, :, None]).argmax(axis=1)
     out = np.full(n, model.f0)
     yield 0, out

@@ -21,8 +21,10 @@ the learn records and normalised to the variation of the model output:
             over the learn records)
     score = 100 * sum(d_i^2) / sum((F(x_i) - mean F)^2)
 
-A pair that no tree splits on together scores exactly 0. A feature's
-overall strength is the sum of its pairwise scores.
+It is computed from that definition with the same kernel, over only the
+structures that split on both features (see ``_interaction_scores``); a
+pair that no tree splits on together is never computed and scores exactly
+0. A feature's overall strength is the sum of its pairwise scores.
 """
 
 from __future__ import annotations
@@ -134,29 +136,35 @@ def _resolve_grid(X: np.ndarray, feature: int, size) -> np.ndarray:
     return np.linspace(float(col.min()), float(col.max()), size)
 
 
-def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-    """Mean prediction over all rows of X with `features` overridden by each
-    row of `points`, by path factorisation (see the module docstring).
-
-    Blocks of structures share each numpy step. Within a structure leaves are
-    added in node order, and structures in order of first use, so the block
-    size changes no bit."""
+def _pd_rows(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray, ids: np.ndarray):
+    """Yield, a block of the structure ids `ids` at a time, each structure's
+    row of its share of the mean prediction over all rows of X with `features`
+    set to each row of `points` (path factorisation, see the module docstring).
+    Leaves are added in node order, so the block size changes no bit."""
     rest = [f for f in range(X.shape[1]) if f not in features]
     structures = model.structure_tables
-    n, (count, width) = X.shape[0], structures["feature"].shape
-    out = np.full(points.shape[0], model.f0)
+    n, width = X.shape[0], structures["feature"].shape[1]
     # per structure: a bool pass table over width + 1 node positions, and two float rows
     # (the split values gathered at a node position, and the sums)
-    for block in _blocks(np.arange(count), (width + 17) * max(n, len(points))):
+    for block in _blocks(ids, (width + 17) * max(n, len(points))):
         columns = {k: v[block] for k, v in structures.items()}
-        reach = _pass_table(columns, X[:, rest], rest, np.ones((len(rest), n), dtype=bool))
+        reach = _pass_table(columns, X[:, rest], rest)
         weight = columns["table"] * (reach.sum(axis=2, dtype=np.float64) / n)  # the counts are exact
-        grid = _pass_table(columns, points, features, np.ones((len(features), len(points)), dtype=bool))
+        grid = _pass_table(columns, points, features)
         sums = np.zeros((len(block), len(points)))
         # a sum that starts at +0.0 is the same without a failed leaf's +0.0 and with a non-leaf's
         for i in range(width):
             np.add(sums, weight[:, i, None], out=sums, where=grid[:, i])
-        for row in sums:
+        yield sums
+
+
+def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+    """Mean prediction over all rows of X with `features` overridden by each
+    row of `points`: f0 plus every structure's row of _pd_rows, added in order
+    of first use."""
+    out = np.full(points.shape[0], model.f0)
+    for rows in _pd_rows(model, X, features, points, np.arange(len(model.structure_tables["feature"]))):
+        for row in rows:
             out += row
     return out
 
@@ -198,52 +206,45 @@ def _interaction_denominator(model: BoostedModel, X: np.ndarray, y: np.ndarray, 
     return den
 
 
-def _interaction_scores(model: BoostedModel, data, denominator: str) -> np.ndarray:
-    """Scores of all pairs: entry [j, k], j < k, from d = PDjk - PDj - PDk.
+def _interaction_scores(model: BoostedModel, data, denominator: str, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Scores of the feature pairs `pairs`, from d = PDjk - PDj - PDk.
 
     A tree that splits on neither feature shifts all three dependences by
     one constant, which centering removes; one that splits on only j adds
-    the same vector to PDjk and PDj. So d is the centered sum, over the
-    structures that split on both, of B - Uj - Uk: the structure's PD with
-    both (B) or one (U) feature set to each record's own values.
+    the same vector to PDjk and PDj. So d is the sum, over the structures
+    that split on both, of B - Uj - Uk: the structure's rows of _pd_rows with
+    both (B) or one (U) feature set to each record's own values, added one
+    after another in order of first use. A pair that no structure splits on
+    is not computed.
     """
     X, y = _usable_rows(model, data)
     den = _interaction_denominator(model, X, y, denominator)
     n, d = X.shape
-    delta = np.zeros((d, d, n))  # the diagonal is never read
-    structures = model.structure_tables
-    used = [sorted(set(row) - {-1}) for row in structures["feature"].tolist()]
-    pairs = np.array([s for s, u in enumerate(used) if len(u) >= 2], dtype=np.intp)
-    # per structure and feature: a bool pass table over width + 1 node positions, and
-    # the split values gathered at a node position
-    for block in _blocks(pairs, (structures["feature"].shape[1] + 9) * n * d):
-        columns = {k: v[block] for k, v in structures.items()}
-        # the records once per feature, each copy tested by that feature's splits alone
-        cols = sorted(set().union(*(used[s] for s in block)))
-        V, tests = np.tile(X[:, cols], (len(cols), 1)), np.repeat(np.eye(len(cols), dtype=bool), n, axis=1)
-        passes = _pass_table(columns, V, cols, tests).reshape(len(block), -1, len(cols), n)
-        for b, s in enumerate(block.tolist()):
-            leaf = columns["leaf"][b]
-            table = columns["table"][b, leaf]
-            # miss[leaf, c, record] as floats: int sums page in more numpy
-            miss = np.where(passes[b, leaf][:, [cols.index(f) for f in used[s]]], 0.0, 1.0)
-            fails = miss.sum(axis=1)  # per leaf and record: features whose path splits it fails
-            # share of records failing no feature but j (one), or but j and k (two)
-            one = np.where(fails[:, None, :] == miss, 1.0, 0.0).sum(axis=2) / n
-            two = miss[:, :, None, :] + miss[:, None, :, :]
-            two = np.where(fails[:, None, None, :] == two, 1.0, 0.0).sum(axis=3) / n
-            hit = 1.0 - miss
-            U = ((table[:, None] * one)[:, :, None] * hit).sum(axis=0)
-            B = ((table[:, None, None] * two)[..., None] * (hit[:, :, None, :] * hit[:, None, :, :])).sum(axis=0)
-            delta[np.ix_(used[s], used[s])] += B - U[:, None, :] - U[None, :, :]
-    centered = delta - delta.sum(axis=2, keepdims=True) / n
-    return 100.0 * (centered * centered).sum(axis=2) / den
+    split = model.structure_tables["feature"]
+    uses = np.zeros((len(split), d + 1), dtype=bool)  # the last column takes the leaves' -1
+    uses[np.arange(len(split))[:, None], split] = True
+    shared = [np.flatnonzero(uses[:, j] & uses[:, k]) for j, k in pairs]
+    need = np.zeros((d, len(split)), dtype=bool)  # U[f] holds the structures sharing a pair with f
+    for (j, k), ids in zip(pairs, shared):
+        need[j, ids] = need[k, ids] = True
+    at = np.cumsum(need, axis=1) - 1  # structure s's row in U[f]
+
+    def own(features, ids):  # the rows of structures `ids` with `features` set to each record's own values
+        return np.concatenate([*_pd_rows(model, X, features, X[:, list(features)], ids)])
+
+    U = {f: own((f,), np.flatnonzero(need[f])) for f in range(d) if need[f].any()}
+    delta = np.zeros((len(pairs), n))
+    for p, ((j, k), ids) in enumerate(zip(pairs, shared)):
+        if len(ids):
+            delta[p] = np.add.accumulate(own((j, k), ids) - U[j][at[j, ids]] - U[k][at[k, ids]])[-1]
+    centered = delta - delta.sum(axis=1, keepdims=True) / n
+    return 100.0 * (centered * centered).sum(axis=1) / den
 
 
 def pairwise_interaction(model: BoostedModel, j: int, k: int, data, denominator: str = "model") -> float:
     """Interaction strength of one feature pair, in percent of output variation."""
     _check_features(model, j, k)
-    return float(_interaction_scores(model, data, denominator)[min(j, k), max(j, k)])
+    return float(_interaction_scores(model, data, denominator, [(min(j, k), max(j, k))])[0])
 
 
 def overall_interaction(model: BoostedModel, data, denominator: str = "model") -> dict[int, float]:
@@ -252,12 +253,12 @@ def overall_interaction(model: BoostedModel, data, denominator: str = "model") -
 
 
 def interaction_report(model: BoostedModel, data, denominator: str = "model") -> InteractionReport:
-    """All pairwise scores, each bit-equal to pairwise_interaction's (both
-    read one computation of every pair), plus per-feature overall strengths."""
+    """All pairwise scores, each bit-equal to pairwise_interaction's (every
+    pair is computed on its own), plus per-feature overall strengths."""
     d = model.n_features
     if d < 2:
         raise ValueError("interaction analysis needs at least 2 features")
-    scores = _interaction_scores(model, data, denominator)
-    pairwise = {(j, k): float(scores[j, k]) for j, k in combinations(range(d), 2)}
+    pairs = list(combinations(range(d), 2))
+    pairwise = dict(zip(pairs, _interaction_scores(model, data, denominator, pairs).tolist()))
     overall = {j: float(sum(v for pair, v in pairwise.items() if j in pair)) for j in range(d)}
     return InteractionReport(model.feature_names, pairwise, overall)

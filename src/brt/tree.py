@@ -65,12 +65,12 @@ class TreeLimits:
         return max(1, min(self.max_nodes - 1 + self.max_nodes % 2, 2 * (n_rows // self.min_leaf_obs) - 1))
 
 
-def goes_right(v: np.ndarray, threshold: float, missing_right: bool) -> np.ndarray:
+def goes_right(v: np.ndarray, threshold, missing_right) -> np.ndarray:
     """Which values v go to the right child of a split: those above the
-    threshold, and NaN when missing_right. Every comparison with NaN is false,
-    so ``>`` sends NaN left, and the negation of ``<=`` sends it right while
-    agreeing with ``>`` on every other value."""
-    return ~(v <= threshold) if missing_right else v > threshold
+    threshold, and NaN when missing_right. Thresholds are finite (the loader
+    and the fitter make sure), and ``missing_right`` may be one flag or one per
+    split, broadcast against v like the threshold."""
+    return (v > threshold) | (missing_right & np.isnan(v))
 
 
 def route(node: np.ndarray, i: int, x: np.ndarray, threshold: float, missing_right: bool, left: int, right: int) -> None:

@@ -602,10 +602,10 @@ class TestPackedPrediction:
         calls = []  # per block routed: the ROUTING row of each structure in it, and the rows routed
         build = boosting._pass_table
 
-        def counted(columns, V, cols, tests):
+        def counted(columns, V, cols):
             rows = zip(*(columns[k] for k in ROUTING))
             calls.append(([b"".join(a.tobytes() for a in row) for row in rows], len(V)))
-            return build(columns, V, cols, tests)
+            return build(columns, V, cols)
 
         monkeypatch.setattr(boosting, "_pass_table", counted)
         for k in (model.n_stages, model.n_stages, 40, 1, 0):

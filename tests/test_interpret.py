@@ -421,9 +421,9 @@ class TestInteractionsPerStructure:
         calls = []
         original = boosting._pass_table
 
-        def counting(columns, V, cols, tests):
+        def counting(columns, V, cols):
             calls.append(([split_features(row) for row in columns["feature"]], V.shape[0]))
-            return original(columns, V, cols, tests)
+            return original(columns, V, cols)
 
         monkeypatch.setattr(boosting, "_pass_table", counting)
         return calls
@@ -431,12 +431,14 @@ class TestInteractionsPerStructure:
     @pytest.fixture()
     def pass_tables(self, monkeypatch):
         """(split features of each structure in the block, features tested, table
-        shape) of every pass table the builder makes."""
+        shape) of every pass table the builder makes; the analytics make them in
+        pairs, the records' side (the features not set) and then the side of the
+        points (the features set)."""
         calls = []
         original = interpret._pass_table
 
-        def counting(columns, V, cols, tests):
-            table = original(columns, V, cols, tests)
+        def counting(columns, V, cols):
+            table = original(columns, V, cols)
             calls.append(([split_features(row) for row in columns["feature"]], tuple(cols), table.shape))
             return table
 
@@ -454,7 +456,7 @@ class TestInteractionsPerStructure:
         structures = [f for block, _ in routed for f in block]
         assert structures == [split_features(row) for row in model.structure_tables["feature"]]
         assert all(rows == n for _, rows in routed)
-        assert pass_tables and all(shape[2] == len(cols) * n for _, cols, shape in pass_tables)  # n per feature
+        assert pass_tables and all(shape[2] == n for _, _, shape in pass_tables)  # records or their own values
         routed.clear()
         interaction_report(model, ds, denominator="response")
         assert routed == []
@@ -477,11 +479,25 @@ class TestInteractionsPerStructure:
         for denominator in ("response", "model"):
             pass_tables.clear()
             rep = interaction_report(model, ds, denominator=denominator)
-            # one block holding the one structure that splits on two features: 5 node
-            # positions (the widest tree's), the n records once per feature
-            assert pass_tables == [([(1, 2)], (1, 2), (1, 5, 2 * n))]
+            # the one structure that splits on two features, 5 node positions (the widest
+            # tree's) by n rows: U1, U2, then B of (1, 2), each the records' side first
+            sides = [(0, 2), (1,), (0, 1), (2,), (0,), (1, 2)]
+            assert pass_tables == [([(1, 2)], cols, (1, 5, n)) for cols in sides]
             assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
             assert rep.pairwise[(1, 2)] > 0.0
+        # a fitted model, with structures splitting on one feature and on more than two
+        ds = random_dataset(np.random.default_rng(8), 14, 5, missing=True)
+        cfg = BoostConfig(n_trees=40, learn_rate=0.3, max_nodes=9, min_leaf_obs=1, subsample_fraction=0.8, seed=3)
+        model = fit_ensemble(ds, cfg)
+        everything = [split_features(row) for row in model.structure_tables["feature"]]
+        assert any(len(f) < 2 for f in everything) and any(len(f) > 2 for f in everything)
+        pass_tables.clear()
+        interaction_report(model, ds, denominator="response")
+        assert all(len(f) >= 2 for block, _, _ in pass_tables for f in block)
+        for block, cols, _ in pass_tables[1::2]:  # the points' side: U of one feature, B of a pair
+            assert all(set(cols) <= set(f) for f in block), cols
+        B = [cols for _, cols, _ in pass_tables[1::2] if len(cols) == 2]
+        assert B == sorted(set(B)) == sorted({p for f in everything for p in itertools.combinations(f, 2)})
 
     def test_no_shared_pair_builds_no_pass_table(self, routed, pass_tables):
         trees = [(split_tree(f, 0.5, -1.0, 1.0 + f, 3), 1.0) for f in range(3)] + [(two_split_tree(2, 2, 3), 1.0)]
@@ -624,7 +640,7 @@ class TestFactorisedKernelProperty:
         def everything():
             profiles = [partial_dependence_1d(model, f, records, grid_spec).values for f in range(d)]
             surface = partial_dependence_2d(model, j, k, records, grid_spec).values
-            scores = interpret._interaction_scores(model, records, "response")
+            scores = interpret._interaction_scores(model, records, "response", list(itertools.combinations(range(d), 2)))
             prefixes = [predict_batch(model, records.X, m) for m in range(model.n_stages + 1)]
             return [a.tobytes() for a in (*profiles, surface, scores, *prefixes)]
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -10,7 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brt.boosting import BoostConfig, fit_ensemble, predict, predict_batch
+from brt.data import Dataset
+from brt.interpret import interaction_report, partial_dependence_1d
 from brt.model_io import FORMAT_VERSION, ModelParseError, _stage_columns, load_model, save_model
+from brt.standin import load_bundled
 from brt.tree import NODE_FIELDS
 
 from conftest import assert_peak_flat, column_bytes, random_dataset, stage_trees, traced_peak
@@ -550,3 +554,35 @@ def test_bad_byte_on_line_40_of_100_stages(tmp_path, fitted):
     lines[1] = json.dumps(header).encode("utf-8")
     with pytest.raises(ModelParseError, match="at line 40: not UTF-8"):
         load_model(_saved(tmp_path, b"\n".join(lines)))
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_frozen_brtm1_file_loads_and_analyses_keep_their_bits():
+    """A brtm/1 file kept as it was written: the first 20 stages of a flagship
+    fit at seed 1 on the stand-in table, and a hand-made 21st stage whose root
+    (ProteinExp <= 2.31) sends NaN right and whose left child (AgrilInput <=
+    4.88) sends it left. Its digests were taken when the file was written; the
+    table adds an all-NaN row and one that is NaN except ProteinExp = 2.31, so
+    both NaN routes and a value on a threshold are met."""
+    want = json.loads((FIXTURES / "flagship20_nan.json").read_text())
+    path = FIXTURES / "flagship20_nan.brtm"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want["model_sha256"]
+    model = load_model(path)
+    assert (model.n_stages, model.nodes["missing_right"][-1, :2].tolist()) == (21, [True, False])
+    ds = load_bundled()
+    nan = float("nan")
+    X = np.vstack([ds.X, np.full(7, nan), [nan] * 6 + [2.31]])
+    data = Dataset.from_arrays(X, np.concatenate([ds.y, [12.0, 9.5]]), ds.feature_names)
+
+    def sha(values):
+        return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+    assert sha(predict_batch(model, X)) == want["predict_batch"]
+    for denominator in ("model", "response"):
+        pairwise = interaction_report(model, data, denominator).pairwise
+        assert sha([pairwise[p] for p in sorted(pairwise)]) == want[f"pairwise_{denominator}"], denominator
+    for f, name in enumerate(ds.feature_names):
+        profile = partial_dependence_1d(model, f, data)
+        assert sha(np.concatenate([profile.grid, profile.values])) == want["pd_1d"][name], name

@@ -12,6 +12,7 @@ from brt.tree import (
     TreeFitter,
     TreeLimits,
     fit_tree,
+    goes_right,
     predict_tree,
     split_improvements,
 )
@@ -30,6 +31,25 @@ def test_constant_targets_yield_single_leaf():
     assert tree.node_count == 1
     assert tree.value[0] == 5.0
     assert predict_tree(tree, [99.0]) == 5.0
+
+
+@st.composite
+def split_cases(draw):
+    """A finite threshold and values on it, next to it on either side, at +-inf,
+    NaN or anywhere, with missing_right as one flag or one per value."""
+    t = draw(st.floats(allow_nan=False, allow_infinity=False))
+    near = st.sampled_from([t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf), math.inf, -math.inf, math.nan])
+    v = draw(st.lists(near | st.floats(), min_size=1, max_size=12))
+    flags = st.booleans() | st.lists(st.booleans(), min_size=len(v), max_size=len(v)).map(np.array)
+    return np.array(v), t, draw(flags)
+
+
+@given(split_cases())
+def test_property_goes_right_is_the_split_rule_per_value(case):
+    v, t, missing_right = case
+    flags = np.broadcast_to(missing_right, v.shape).tolist()
+    want = [x > t or (math.isnan(x) and m) for x, m in zip(v.tolist(), flags)]
+    assert goes_right(v, t, missing_right).tolist() == want
 
 
 def test_four_point_split():
