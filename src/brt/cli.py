@@ -17,7 +17,8 @@ import numpy as np
 from . import svg
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
 from .data import (
-    assemble_model_table, fy_label, load_model_table, load_raw_directory, monsoon_deviation, naming, write_model_table
+    assemble_model_table, fy_label, load_model_table, load_raw_directory, monsoon_deviation, naming, write_csv,
+    write_model_table
 )
 from .interpret import (
     MAX_GRID_POINTS, _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
@@ -31,10 +32,7 @@ def _fmt(v: float) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, [header, *([_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows)])
 
 
 # train's flags that set BoostConfig fields: flag, field (the flag's dest), type, help.
@@ -200,13 +198,16 @@ def cmd_pdp(args) -> int:
     with naming("--grid"):  # the cap on a surface over observed values needs the table: the analysis checks it
         _grid_size(args.grid, 2 if args.feature2 else 1)
     model, data = _load_model_and_table(args)  # after the flag checks: loading a large model takes seconds
+    # Every name is checked before anything is written; each goes into an output file name.
+    names = list(model.feature_names) if args.all else [n for n in (args.feature, args.feature2) if n]
+    columns = [_feature_index(model, name) for name in names]
+    for name in names:
+        if "/" in name or "\0" in name:
+            raise ValueError(f"feature {name!r} cannot name an output file: it holds '/' or NUL")
     out = _out_dir(args)
 
-    if args.all:
-        features = list(model.feature_names)
-    elif args.feature2:
-        j = _feature_index(model, args.feature)
-        k = _feature_index(model, args.feature2)
+    if args.feature2:
+        j, k = columns
         with naming(args.model, args.data):
             surface = partial_dependence_2d(model, j, k, data, grid_spec=args.grid)
         stem = f"pd_{args.feature}_x_{args.feature2}"
@@ -227,11 +228,8 @@ def cmd_pdp(args) -> int:
         )
         print(f"wrote {stem}.csv / .svg")
         return 0
-    else:
-        features = [args.feature]
 
-    for name in features:
-        j = _feature_index(model, name)
+    for name, j in zip(names, columns):
         with naming(args.model, args.data):
             profile = partial_dependence_1d(model, j, data, grid_spec=args.grid)
         _write_csv(
@@ -247,7 +245,7 @@ def cmd_pdp(args) -> int:
             name,
             "centered mean response",
         )
-    print(f"wrote {len(features)} partial dependence profile(s)")
+    print(f"wrote {len(names)} partial dependence profile(s)")
     return 0
 
 

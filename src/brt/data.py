@@ -331,18 +331,22 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def write_csv(sink, rows) -> None:
+    """Write rows of text cells to a stream or a path (opened as UTF-8 text),
+    quoting a cell only where it holds a comma, a quote or a line end, with
+    "\\n" line ends."""
+    if hasattr(sink, "write"):
+        csv.writer(sink, lineterminator="\n").writerows(rows)
+    else:
+        with open(sink, "w", encoding="utf-8", newline="") as stream:
+            write_csv(stream, rows)
+
+
 def write_model_table(dataset: Dataset, sink) -> None:
     """Write a Dataset back to model-table CSV (missing cells empty)."""
-    lines = ["year," + dataset.response_name + "," + ",".join(dataset.feature_names)]
-    for i, year in enumerate(dataset.years):
-        cells = [str(year), _fmt(float(dataset.y[i]))]
-        cells += [_fmt(float(v)) for v in dataset.X[i]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        Path(sink).write_text(text, encoding="utf-8")
+    header = ["year", dataset.response_name, *dataset.feature_names]
+    rows = zip(dataset.years, dataset.y.tolist(), dataset.X.tolist())
+    write_csv(sink, [header, *([str(year), *map(_fmt, [y, *x])] for year, y, x in rows)])
 
 
 # ---------------------------------------------------------------------------

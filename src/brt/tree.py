@@ -146,16 +146,14 @@ def split_improvements(feature: np.ndarray, improvement: np.ndarray, n_features:
     return np.add.accumulate(totals, out=totals)[-1]
 
 
-# Bytes that the search caches of one TreeFitter hold at most. A 1,200-stage
-# flagship fit (25 rows, 7 features) at seed 1 meets 549 distinct row sets; at
-# 384 KiB its row-set cache holds 335 and 61% of its searches hit (46% at 256
-# KiB, 72% at 512), and its counts cache holds 14 and 89% hit.
-SEARCH_CACHE_BYTES = 3 << 17
+# Bytes that the counts cache of one TreeFitter holds at most. A 1,200-stage
+# flagship fit (25 rows, 7 features) at seed 1 has room for 14 entries there,
+# and 89% of its searches hit.
+SEARCH_CACHE_BYTES = 3 << 15
 # Allowance per cache entry for its Python objects (lru_cache link and dict
 # slot, key tuple, result tuple, bytes and array headers), from tracemalloc on
-# the flagship and diverse fits: a row-set entry holds about 450 to 520 bytes
-# beside its arrays and keys, a counts entry, with five arrays, about 1,000 to
-# 1,080, and is charged two.
+# the flagship and diverse fits: a counts entry, with five arrays, holds about
+# 1,000 to 1,080 bytes beside its arrays and key, and is charged two.
 _ENTRY_OVERHEAD = 512
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -164,41 +162,34 @@ class TreeFitter:
     """Split-search machinery bound to one feature matrix and one set of limits.
 
     The boosting loop refits thousands of trees against the same X under the
-    same limits with changing targets and row subsets, so the per-feature
-    sort order is computed once here. ``fit_tree`` wraps this for one-off use.
+    same limits with changing targets and row subsets, so each feature's sort
+    order (``orders``, row ids in ascending value order, NaNs last) and its
+    values in that order (``sorted_vals``) are computed once here, as in the
+    presorted columns of SLIQ and XGBoost. A search reads its node's rows from
+    them with one mask. ``fit_tree`` wraps this for one-off use.
 
-    Most of a split search depends only on the node's row set, and
-    stochastic boosting on a small table meets the same row sets over and
-    over: in a 1,200-stage flagship fit at seed 1, the 2,639 searches of
-    nodes large enough to split meet only 549 distinct row sets. So that
-    part is cached, in two ``functools.lru_cache`` wrappers of this fitter's
-    own that share ``SEARCH_CACHE_BYTES``:
+    The row counts a search scores with depend only on the node's row count
+    and NaN counts, and stochastic boosting on a small table meets the same
+    ones over and over (in a node without NaN they do not depend on the
+    feature, so all nodes of one size share them). So they are cached in a
+    ``functools.lru_cache`` wrapper of this fitter's own, ``_counts(k, NaN
+    counts' bytes)``, which returns ``n_miss``, the NaN counts,
+    ``num``/``den``, the row counts of the two routings of the missing rows
+    as the scores use them (``num`` is [rows left with missing rows left, rows
+    left] and ``den`` [rows right, rows right with missing rows right]),
+    ``miss``, the NaN positions (the last ones of each feature), and
+    ``window``, the cuts that leave min_leaf rows on both sides, for each
+    routing.
 
-    - ``_row_set(key)``, on the row ids' bytes (three quarters of the
-      budget), returns ``sel``, the rows in each feature's value order (NaNs
-      last), ``valid``, the cuts after which the next value differs and is
-      finite, and the bytes of each feature's NaN count;
-    - ``_counts(k, NaN counts' bytes)``, shared by every row set with the
-      same row count and NaN counts (in a node without NaN they do not
-      depend on the feature, so all row sets of one size share one),
-      returns ``n_miss``, the NaN counts, ``num``/``den``, the row counts of
-      the two routings of the missing rows as the scores use them (``num``
-      is [rows left with missing rows left, rows left] and ``den`` [rows
-      right, rows right with missing rows right]), ``miss``, the NaN
-      positions (the last ones of each feature), and ``window``, the cuts
-      that leave min_leaf rows on both sides, for each routing.
-
-    Each cache's ``maxsize`` is its share of the budget over the bytes of
-    the largest entry this table can make, that of all its rows: its arrays
-    and key plus ``_ENTRY_OVERHEAD`` (the NaN counts' bytes are charged to
-    the counts, whose key they are). So the bound holds whatever row sets
-    come, and a share too small for one entry caches nothing. The wrapped
-    functions close over the fitter's arrays, not the fitter, so no
-    reference cycle keeps a fitter alive, and no two fitters share an
-    entry. A hit skips only work whose results are integers or masks; every
-    float operation on the targets runs on the same operands in the same
-    order on a hit and a miss, so the trees are bit-identical with and
-    without the cache.
+    Its ``maxsize`` is ``SEARCH_CACHE_BYTES`` over the bytes of the largest
+    entry this table can make, that of all its rows: its arrays and key plus
+    twice ``_ENTRY_OVERHEAD``. So the bound holds whatever row sets come, and
+    a budget too small for one entry caches nothing. The wrapped function
+    closes over the fitter's arrays, not the fitter, so no reference cycle
+    keeps a fitter alive, and no two fitters share an entry. A hit skips only
+    integer counts and masks; every float operation on the targets runs on
+    the same operands in the same order on a hit and a miss, so the trees are
+    bit-identical with and without the cache.
     """
 
     def __init__(self, X: np.ndarray, limits: TreeLimits):
@@ -208,28 +199,12 @@ class TreeFitter:
         self.limits = limits
         self.XT = XT = np.ascontiguousarray(X.T)
         n, d = X.shape
-        # Row ids are held in the smallest unsigned dtype that holds them, so
-        # that cached row sets stay small.
-        self.row_dtype = row_dtype = np.min_scalar_type(max(n - 1, 0))
         # Row ids per feature in ascending value order, NaNs last; stable so
         # equal values keep row order.
-        orders = np.argsort(XT, axis=1, kind="stable").astype(row_dtype)
-        offsets = (np.arange(d) * n)[:, None]  # start of each feature in XT.ravel()
+        self.orders = np.argsort(XT, axis=1, kind="stable")
+        self.sorted_vals = np.take_along_axis(XT, self.orders, axis=1)
         cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
         min_leaf = limits.min_leaf_obs
-
-        def row_set(key: bytes) -> tuple:
-            rows = np.frombuffer(key, dtype=row_dtype)
-            in_node = np.zeros(n, dtype=bool)
-            in_node[rows] = True
-            # Row-major boolean pick keeps each feature's value order; every
-            # feature row holds the same node rows, so the reshape is exact. The
-            # copy lets the entry hold one array, not a view and its base.
-            sel = orders[in_node[orders]].reshape(d, rows.size).copy()
-            vals = XT.ravel()[sel + offsets]
-            valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
-            n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)
-            return sel, valid, n_miss.tobytes()
 
         def counts(k: int, miss_bytes: bytes) -> tuple:
             n_miss, cnt = np.frombuffer(miss_bytes)[:, None], cnt_left[: k - 1]
@@ -242,14 +217,10 @@ class TreeFitter:
             np.add(den[0], n_miss, out=den[1])
             return n_miss, num, den, np.arange(k) >= n_fin, (num >= min_leaf) & (den >= min_leaf)
 
-        # The largest entries, those of all n rows: a row set's key, sel and
-        # valid; a count's key bytes, num, den, miss and window.
+        # The largest entry, that of all n rows: its key bytes, num, den, miss and window.
         cuts = d * max(n - 1, 0)
-        row_bytes = (n + d * n) * row_dtype.itemsize + cuts + _ENTRY_OVERHEAD
-        count_bytes = 8 * d + 32 * cuts + d * n + 2 * cuts + 2 * _ENTRY_OVERHEAD
-        budget = SEARCH_CACHE_BYTES
-        self._row_set = lru_cache(maxsize=(budget - budget // 4) // row_bytes)(row_set)
-        self._counts = lru_cache(maxsize=budget // 4 // count_bytes)(counts)
+        entry_bytes = 8 * d + 32 * cuts + d * n + 2 * cuts + 2 * _ENTRY_OVERHEAD
+        self._counts = lru_cache(maxsize=SEARCH_CACHE_BYTES // entry_bytes)(counts)
 
     def fit(self, targets: np.ndarray, rows: np.ndarray, out: dict) -> tuple[int, np.ndarray]:
         """Fit a tree to targets on the ascending row ids ``rows`` (so each node's
@@ -300,8 +271,16 @@ class TreeFitter:
         k = rows.size
         if self.XT.shape[0] == 0 or k < max(2, 2 * self.limits.min_leaf_obs):
             return
-        sel, valid, miss_bytes = self._row_set(rows.astype(self.row_dtype).tobytes())
-        n_miss, num, den, miss, window = self._counts(k, miss_bytes)
+        in_node = np.zeros(self.XT.shape[1], dtype=bool)
+        in_node[rows] = True
+        # Row-major boolean picks keep each feature's value order; every feature
+        # row holds the same node rows, so the reshapes are exact.
+        at = in_node[self.orders]
+        sel = self.orders[at].reshape(-1, k)
+        vals = self.sorted_vals[at].reshape(-1, k)
+        valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
+        n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)
+        n_miss, num, den, miss, window = self._counts(k, n_miss.tobytes())
         t = y[sel]
         # Axis 0 stacks the two routings of the missing rows; per element
         # score_l = sl*sl/nl + sum_right*sum_right/cnt_right and
@@ -347,18 +326,14 @@ class TreeFitter:
             missing_right = not prefer_left[f, p]
 
         gain = float((score_r if missing_right else score_l)[f, p] - total * total / k)
-        threshold = self._threshold(sel, f, p)
+        # The cut's threshold: the midpoint of the values on either side when it
+        # lies in [lower, upper), else the lower value, so that goes_right splits
+        # where the cut was scored. Python floats: an overflow gives inf without a warning.
+        lo, hi = float(vals[f, p]), float(vals[f, p + 1])
+        mid = (lo + hi) / 2.0
+        threshold = mid if lo <= mid < hi else lo
         split = {"feature": f, "threshold": threshold, "missing_right": missing_right, "improvement": gain}
         heapq.heappush(heap, (-gain, nid, split, rows))
-
-    def _threshold(self, sel, f, p) -> float:
-        """Threshold of the cut after sorted position p of feature f: the
-        midpoint of the values on either side when it lies in [lower, upper),
-        else the lower value, so that goes_right splits where the cut was scored."""
-        xf = self.XT[f]
-        lo, hi = float(xf[sel[f, p]]), float(xf[sel[f, p + 1]])
-        mid = (lo + hi) / 2.0  # Python floats: an overflow gives inf without a warning
-        return mid if lo <= mid < hi else lo
 
     def _resolve_exact(self, y, sel, n_miss, close, score_l, score_r, slack, best):
         """Order dust-level rival splits by exact score; return the first one's

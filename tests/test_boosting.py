@@ -312,22 +312,17 @@ def _row_sets(n, k, count, seed):
     return [np.sort(rng.choice(n, size=k, replace=False)) for _ in range(count)]
 
 
-def _infos(fitter):
-    return [cache.cache_info() for cache in (fitter._row_set, fitter._counts)]
+def _info(fitter):
+    return fitter._counts.cache_info()
 
 
-def _largest_entries(fitter):
-    """Bytes the fitter's row-set and counts caches charge for the entries of all
-    its rows, from the arrays that those entries hold."""
+def _largest_entry(fitter):
+    """Bytes the fitter's counts cache charges for the entry of all its rows,
+    from the arrays that the entry holds."""
     n = fitter.XT.shape[1]
-    key = np.arange(n, dtype=fitter.row_dtype).tobytes()
-    sel, valid, miss_bytes = fitter._row_set.__wrapped__(key)
+    miss_bytes = np.add.reduce(np.isnan(fitter.XT), axis=1, dtype=np.float64).tobytes()
     _, num, den, miss, window = fitter._counts.__wrapped__(n, miss_bytes)
-    overhead = tree_module._ENTRY_OVERHEAD
-    return (
-        len(key) + sel.nbytes + valid.nbytes + overhead,
-        len(miss_bytes) + num.nbytes + den.nbytes + miss.nbytes + window.nbytes + 2 * overhead,
-    )
+    return len(miss_bytes) + num.nbytes + den.nbytes + miss.nbytes + window.nbytes + 2 * tree_module._ENTRY_OVERHEAD
 
 
 @pytest.mark.parametrize("make_data, k, limits", [(_standin, 23, TreeLimits(6, 3)), (_nan_table, 36, TreeLimits(13, 1))])
@@ -336,16 +331,16 @@ class TestSearchCache:
         data = make_data()
         rng = np.random.default_rng(4)
         jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, k, 40, 5)]
-        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 25)  # room for every row set met
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", 1 << 25)  # room for every entry met
         warm = TreeFitter(data.X, limits)
         for y, rows in jobs:
             _fit(warm, y, rows)
-        cold = _infos(warm)
+        cold = _info(warm)
         for y, rows in jobs:
             _assert_same_fit(_fit(warm, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
         # Every search of the second pass was a hit: nothing was built or dropped.
-        for before, after in zip(cold, _infos(warm)):
-            assert after.hits > before.hits and after.misses == before.misses and after.currsize == before.currsize
+        after = _info(warm)
+        assert after.hits > cold.hits and after.misses == cold.misses and after.currsize == cold.currsize
 
     def test_cache_past_its_bound_gives_fresh_fitter_trees(self, make_data, k, limits, monkeypatch):
         data = make_data()
@@ -357,42 +352,42 @@ class TestSearchCache:
             y = rng.normal(size=data.n_rows)
             for rows in row_sets:
                 _assert_same_fit(_fit(small, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
-        for info in _infos(small):
-            assert 0 < info.currsize <= info.maxsize < info.misses  # entries were dropped to stay in bound
+        info = _info(small)
+        assert 0 < info.currsize <= info.maxsize < info.misses  # entries were dropped to stay in bound
 
     @pytest.mark.parametrize("budget", [1 << 14, 3 << 17, 1 << 20])
     def test_largest_entries_fit_each_share(self, make_data, k, limits, monkeypatch, budget):
+        """The share of the counts cache is the whole budget."""
         monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", budget)
         fitter = TreeFitter(make_data().X, limits)
-        shares = (budget - budget // 4, budget // 4)
-        for info, entry, share in zip(_infos(fitter), _largest_entries(fitter), shares):
-            assert info.maxsize * entry <= share < (info.maxsize + 1) * entry
+        info, entry = _info(fitter), _largest_entry(fitter)
+        assert info.maxsize * entry <= budget < (info.maxsize + 1) * entry
 
     def test_budget_below_one_entry_caches_nothing(self, make_data, k, limits, monkeypatch):
         data = make_data()
-        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", min(_largest_entries(TreeFitter(data.X, limits))))
+        monkeypatch.setattr(tree_module, "SEARCH_CACHE_BYTES", _largest_entry(TreeFitter(data.X, limits)) - 1)
         bare = TreeFitter(data.X, limits)
         monkeypatch.undo()
         rng = np.random.default_rng(8)
         for rows in _row_sets(data.n_rows, k, 5, 9) * 2:
             y = rng.normal(size=data.n_rows)
             _assert_same_fit(_fit(bare, y, rows), _fit(TreeFitter(data.X, limits), y, rows))
-        for info in _infos(bare):
-            assert info.maxsize == info.currsize == info.hits == 0 < info.misses
+        info = _info(bare)
+        assert info.maxsize == info.currsize == info.hits == 0 < info.misses
 
     def test_fitter_is_freed_without_a_collection(self, make_data, k, limits):
         data = make_data()
         fitter = TreeFitter(data.X, limits)
         for rows in _row_sets(data.n_rows, k, 5, 10):
             _fit(fitter, data.y, rows)
-        assert all(info.currsize > 0 for info in _infos(fitter))
+        assert _info(fitter).currsize > 0
         ref = weakref.ref(fitter)
         del fitter
         assert ref() is None
 
 
 def test_fitters_on_different_tables_share_no_entry():
-    """Two fitters on tables of one shape meet the same row-set keys; each keeps its own."""
+    """Two fitters on tables of one shape meet the same counts keys; each keeps its own."""
     data = _standin()
     limits = TreeLimits(6, 3)
     X_a, X_b = data.X, data.X[::-1].copy()
@@ -401,11 +396,11 @@ def test_fitters_on_different_tables_share_no_entry():
     jobs = [(rng.normal(size=data.n_rows), rows) for rows in _row_sets(data.n_rows, 23, 10, 12)]
     for y, rows in jobs:
         _assert_same_fit(_fit(a, y, rows), _fit(TreeFitter(X_a, limits), y, rows))
-    seen, alone = _infos(a), TreeFitter(X_b, limits)
+    seen, alone = _info(a), TreeFitter(X_b, limits)
     for y, rows in jobs:
         _assert_same_fit(_fit(b, y, rows), _fit(TreeFitter(X_b, limits), y, rows))
         _fit(alone, y, rows)
-    assert _infos(a) == seen and _infos(b) == _infos(alone)
+    assert _info(a) == seen and _info(b) == _info(alone)
 
 
 def test_fit_ensemble_builds_no_tree_and_routes_no_batch(monkeypatch):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import tempfile
@@ -23,15 +24,17 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
-@pytest.fixture()
-def toy_table(tmp_path):
+def _table_named(path, names):
+    """Write a 20-row model table with two predictors named names to path."""
     rng = np.random.default_rng(13)
     X = rng.uniform(0, 2, size=(20, 2))
-    y = X[:, 0] * X[:, 1] + X[:, 1]
-    ds = Dataset((2000 + i for i in range(1, 21)), ("alpha", "beta"), X, y)
-    path = tmp_path / "toy.csv"
-    write_model_table(ds, path)
+    write_model_table(Dataset((2000 + i for i in range(1, 21)), names, X, X[:, 0] * X[:, 1] + X[:, 1]), path)
     return path
+
+
+@pytest.fixture()
+def toy_table(tmp_path):
+    return _table_named(tmp_path / "toy.csv", ("alpha", "beta"))
 
 
 TRAIN_FLAGS = ["--trees", "300", "--learn-rate", "0.1", "--max-nodes", "6", "--min-leaf", "2", "--seed", "7"]
@@ -603,3 +606,34 @@ def test_pdp_all_on_seven_predictor_model(tmp_path, capsys):
     csvs = sorted(p.name for p in out.glob("pd_*.csv"))
     svgs = sorted(p.name for p in out.glob("pd_*.svg"))
     assert len(csvs) == 7 and len(svgs) == 7
+
+
+def test_names_with_commas_and_quotes_are_quoted_in_every_csv(tmp_path, capsys):
+    names = ("MSP, support", 'rain "mm"')
+    table = _table_named(tmp_path / "t.csv", names)
+    assert load_model_table(table).feature_names == names
+    out = tmp_path / "run"
+    assert run(["train", str(table), "--out", str(out)] + TRAIN_FLAGS, capsys)[0] == 0
+    model = str(out / "model.brtm")
+    assert run(["report", model, str(table), "--out", str(out)], capsys)[0] == 0
+    assert run(["pdp", model, str(table), "--out", str(out), "--all"], capsys)[0] == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 8
+    for path in csvs:
+        with path.open(newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert {len(row) for row in rows} == {len(rows[0])}, path.name
+    with (out / "influence.csv").open(newline="", encoding="utf-8") as f:
+        assert {row[0] for row in list(csv.reader(f))[1:]} == set(names)
+
+
+@pytest.mark.parametrize("flags", [["--all"], ["--feature", "F/D"], ["--feature", "alpha", "--feature2", "F/D"]])
+def test_pdp_names_a_feature_that_cannot_name_a_file_before_writing(tmp_path, capsys, flags):
+    table = _table_named(tmp_path / "t.csv", ("alpha", "F/D"))
+    trained = tmp_path / "run"
+    assert run(["train", str(table), "--out", str(trained)] + TRAIN_FLAGS, capsys)[0] == 0
+    out = tmp_path / "pd"
+    code, _, err = run(["pdp", str(trained / "model.brtm"), str(table), "--out", str(out), *flags], capsys)
+    assert code == 1
+    assert err == "error: feature 'F/D' cannot name an output file: it holds '/' or NUL\n"
+    assert not out.exists()

@@ -388,6 +388,22 @@ def test_property_fit_leaves_match_naive_walker(case):
         assert (out[k][count:] == pad).all(), k
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_subsamples())
+def test_property_subsample_fits_as_the_table_of_its_rows(case):
+    """Fitting a subsample of X writes the same node bytes as fitting the
+    table of those rows alone: a node's rows are read from the presorted
+    columns in the order they hold in the smaller table, NaN cells and
+    repeated values included."""
+    X, y, rows, limits = case
+    outs = [{k: np.full(limits.max_nodes, pad, dtype) for k, (dtype, pad) in NODE_FIELDS.items()} for _ in "ab"]
+    count, _ = TreeFitter(X, limits).fit(y, rows, outs[0])
+    alone, _ = TreeFitter(X[rows], limits).fit(y[rows], np.arange(len(rows)), outs[1])
+    assert count == alone
+    for k in NODE_FIELDS:
+        assert outs[0][k].tobytes() == outs[1][k].tobytes(), k
+
 def test_fit_tree_buffers_fit_the_rows():
     """n rows make at most 2n - 1 nodes, so a huge node budget on 4 rows
     allocates no buffer of that size (100,001 bools would be 100 kB)."""
