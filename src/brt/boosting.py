@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ class BoostConfig:
             raise ValueError(f"unknown loss {self.loss!r}; available: ['least_squares']")
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     tree: RegressionTree
     gamma: float
 
@@ -97,8 +97,11 @@ class BoostedModel:
         return len(self.gamma)
 
     @property
-    def stages(self) -> Sequence[Stage]:
-        return _Stages(self)
+    def stages(self) -> Iterator[Stage]:
+        """Each stage in order as a Stage(tree, gamma), made from its row of the columns when reached."""
+        for m in range(self.n_stages):
+            tree = RegressionTree(*(self.nodes[k][m, : self.node_count[m]] for k in NODE_FIELDS), self.n_features)
+            yield Stage(tree, float(self.gamma[m]))
 
     @cached_property
     def degenerate_stages(self) -> int:
@@ -159,23 +162,6 @@ def node_columns(count: np.ndarray, nodes: dict) -> dict[str, np.ndarray]:
         column = columns[name] = np.full(filled.shape, pad, dtype=dtype)
         column[filled] = nodes.pop(name)
     return columns
-
-
-@dataclass(frozen=True)
-class _Stages(Sequence):
-    """``BoostedModel.stages``: Stage m, made on access, views row m of the columns."""
-
-    model: BoostedModel
-
-    def __len__(self) -> int:
-        return self.model.n_stages
-
-    def __getitem__(self, m):
-        m, model = range(len(self))[m], self.model
-        if isinstance(m, range):
-            return tuple(map(self.__getitem__, m))
-        tree = RegressionTree(*(model.nodes[k][m, : model.node_count[m]] for k in NODE_FIELDS), model.n_features)
-        return Stage(tree, float(model.gamma[m]))
 
 
 @dataclass(frozen=True)
@@ -326,10 +312,7 @@ def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
 
 def predict(model: BoostedModel, sample, n_stages: int | None = None) -> float:
     """predict_batch on one feature row (cells may be NaN)."""
-    x = np.asarray(sample, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError("feature count mismatch")
-    return float(predict_batch(model, x[None, :], n_stages)[0])
+    return float(predict_batch(model, [sample], n_stages)[0])
 
 
 def predict_batch(model: BoostedModel, X, n_stages: int | None = None) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,8 +89,12 @@ def _feature_index(model, name: str) -> int:
 
 
 def _load_model_and_table(args) -> tuple:
-    """The model and the model table a command reads; their feature names must agree."""
-    model, data = load_model(args.model), load_model_table(args.data)
+    """The model and the model table a command reads; their feature names must agree.
+    A warning about the model file is printed as one line that names the file."""
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {args.model}: {message}", file=sys.stderr)
+        model = load_model(args.model)
+    data = load_model_table(args.data)
     if tuple(model.feature_names) != tuple(data.feature_names):
         only_model = [n for n in model.feature_names if n not in data.feature_names]
         only_data = [n for n in data.feature_names if n not in model.feature_names]
@@ -198,19 +203,26 @@ def cmd_pdp(args) -> int:
     with naming("--grid"):  # the cap on a surface over observed values needs the table: the analysis checks it
         _grid_size(args.grid, 2 if args.feature2 else 1)
     model, data = _load_model_and_table(args)  # after the flag checks: loading a large model takes seconds
-    # Every name is checked before anything is written; each goes into an output file name.
+    # Every name is checked, and every profile or surface computed, before anything is
+    # written; each name goes into an output file name.
     names = list(model.feature_names) if args.all else [n for n in (args.feature, args.feature2) if n]
     columns = [_feature_index(model, name) for name in names]
     for name in names:
         if "/" in name or "\0" in name:
             raise ValueError(f"feature {name!r} cannot name an output file: it holds '/' or NUL")
-    out = _out_dir(args)
 
     if args.feature2:
         j, k = columns
+        pair = f"{args.feature}_x_{args.feature2}"
+        stem = f"pd_{pair}"
+        if pair in model.feature_names:
+            raise ValueError(
+                f"the surface of {args.feature!r} and {args.feature2!r} would overwrite the profile of "
+                f"feature {pair!r}: both write {stem}.csv and .svg"
+            )
         with naming(args.model, args.data):
             surface = partial_dependence_2d(model, j, k, data, grid_spec=args.grid)
-        stem = f"pd_{args.feature}_x_{args.feature2}"
+        out = _out_dir(args)
         rows = [
             [float(surface.grid_j[a]), float(surface.grid_k[b]), float(surface.values[a, b])]
             for a in range(len(surface.grid_j))
@@ -229,9 +241,10 @@ def cmd_pdp(args) -> int:
         print(f"wrote {stem}.csv / .svg")
         return 0
 
-    for name, j in zip(names, columns):
-        with naming(args.model, args.data):
-            profile = partial_dependence_1d(model, j, data, grid_spec=args.grid)
+    with naming(args.model, args.data):
+        profiles = [partial_dependence_1d(model, j, data, grid_spec=args.grid) for j in columns]
+    out = _out_dir(args)
+    for name, profile in zip(names, profiles):
         _write_csv(
             out / f"pd_{name}.csv",
             [name, "dependence"],
@@ -260,7 +273,7 @@ def cmd_build_data(args) -> int:
         )
     out = _out_dir(args)
     write_model_table(dataset, out / "model_table.csv")
-    (out / "provenance.txt").write_text(provenance, encoding="utf-8")
+    (out / "provenance.txt").write_text(provenance, encoding="utf-8", newline="")
     span = f"{fy_label(dataset.years[0])}-{fy_label(dataset.years[-1])}"
     print(f"built model table: {dataset.n_rows} rows ({span}) -> {out / 'model_table.csv'}")
     return 0

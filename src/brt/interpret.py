@@ -123,13 +123,13 @@ def _check_points(count: int) -> None:
         raise ValueError(f"a grid of {count} points is over the cap of {MAX_GRID_POINTS}; give a smaller --grid")
 
 
-def _resolve_grid(X: np.ndarray, feature: int, size) -> np.ndarray:
-    """`size` points spaced evenly over the feature's finite values, or those
-    values themselves when `size` is None."""
+def _resolve_grid(X: np.ndarray, feature: int, size, name: str) -> np.ndarray:
+    """`size` points spaced evenly over the finite values of feature `name`, column
+    `feature` of X, or those values themselves when `size` is None."""
     col = X[:, feature]
     col = col[np.isfinite(col)]
     if col.size == 0:
-        raise ValueError("cannot grid a fully missing feature")
+        raise ValueError(f"cannot grid a fully missing feature {name!r}")
     if size is None:  # np.unique(col) without its first-call memory: sort, keep each first of equals
         col = np.sort(col)
         return col[np.concatenate(([True], col[1:] != col[:-1]))]
@@ -173,7 +173,7 @@ def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=Non
     """Centered mean-response curve for one feature (brute-force contract)."""
     X, _ = _usable_rows(model, data)
     _check_features(model, feature)
-    grid = _resolve_grid(X, feature, _grid_size(grid_spec, 1))
+    grid = _resolve_grid(X, feature, _grid_size(grid_spec, 1), model.feature_names[feature])
     raw = _pd_means(model, X, (feature,), grid[:, None])
     return PDProfile(feature, model.feature_names[feature], grid, raw - raw.sum() / len(raw))
 
@@ -183,7 +183,7 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     _check_features(model, j, k)
     X, _ = _usable_rows(model, data)
     size = _grid_size(grid_spec, 2)
-    grid_j, grid_k = (_resolve_grid(X, f, size) for f in (j, k))
+    grid_j, grid_k = (_resolve_grid(X, f, size, model.feature_names[f]) for f in (j, k))
     if size is None:  # observed values: the product is known only now
         _check_points(len(grid_j) * len(grid_k))
     points = np.column_stack([np.repeat(grid_j, len(grid_k)), np.tile(grid_k, len(grid_j))])

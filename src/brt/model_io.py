@@ -59,9 +59,9 @@ def _dump(obj) -> str:
 
 def save_model(model: BoostedModel, sink) -> None:
     """Write model as a brtm/1 document to a path or a text stream, a line at a
-    time. A path is opened as Path.write_text opens it: text mode, UTF-8."""
+    time. A path is opened in text mode as UTF-8, with "\n" line ends on every platform."""
     if not hasattr(sink, "write"):
-        with open(sink, "w", encoding="utf-8") as f:
+        with open(sink, "w", encoding="utf-8", newline="") as f:
             save_model(model, f)
         return
     header = {

@@ -62,7 +62,7 @@ class _Doc:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
     def write(self, path) -> None:
-        Path(path).write_text(self.text(), encoding="utf-8")
+        Path(path).write_text(self.text(), encoding="utf-8", newline="")
 
 
 def _esc(s: str) -> str:

@@ -119,8 +119,12 @@ class RegressionTree:
         """Leaf value each row of X routes to."""
         return self.value[self.leaf_assignments(X)]
 
-    def leaf_assignments(self, X: np.ndarray) -> np.ndarray:
-        """Leaf index each row of X routes to, by ``goes_right`` at each split."""
+    def leaf_assignments(self, X) -> np.ndarray:
+        """Leaf index each row of X routes to, by ``goes_right`` at each split; a
+        ValueError unless X is a matrix of n_features columns."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError("feature count mismatch")
         node = np.zeros(X.shape[0], dtype=np.intp)
         for i, f in enumerate(self.feature.tolist()):
             if f >= 0:
@@ -130,16 +134,12 @@ class RegressionTree:
 
 def predict_tree(tree: RegressionTree, sample) -> float:
     """predict_batch on one feature row (cells may be NaN)."""
-    x = np.asarray(sample, dtype=np.float64)
-    if x.shape != (tree.n_features,):
-        raise ValueError("feature count mismatch")
-    return float(tree.predict_batch(x[None, :])[0])
+    return float(tree.predict_batch([sample])[0])
 
 
 def split_improvements(feature: np.ndarray, improvement: np.ndarray, n_features: int) -> np.ndarray:
-    """Per-feature split improvement totals of stages' feature and improvement columns (one
-    tree's arrays are one stage): each stage's splits in node order, then a running sum in stage order."""
-    feature, improvement = np.atleast_2d(feature, improvement)
+    """Per-feature split improvement totals of stages' (n_stages, nodes) feature and improvement
+    columns: each stage's splits in node order, then a running sum in stage order."""
     stage, node = np.nonzero(feature >= 0)
     totals = np.zeros((len(feature) + 1, n_features))  # row 0 starts the running sum
     np.add.at(totals, (stage + 1, feature[stage, node]), improvement[stage, node])

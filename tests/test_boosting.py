@@ -442,8 +442,9 @@ class TestPredict:
 
     def test_arity_mismatch(self, model):
         m, _ = model
-        with pytest.raises(ValueError, match="feature count mismatch"):
-            predict(m, [1.0, 2.0])
+        for sample in ([1.0, 2.0], 1.0, [], [[1.0]], np.ones((1, 1, 1))):
+            with pytest.raises(ValueError, match="^feature count mismatch$"):
+                predict(m, sample)
         with pytest.raises(ValueError, match="feature count mismatch"):
             predict_batch(m, np.zeros((3, 2)))
 
@@ -625,17 +626,27 @@ class TestPackedPrediction:
         assert (predict_batch(model, data.X).tobytes(), staged_metric(model, data).points) == want
         assert predict(model, data.X[0]) == predict_batch(model, data.X)[0]
 
-    def test_stages_view_is_row_m_of_the_columns(self, standin_model):
+    def test_stages_view_is_row_m_of_the_columns(self, standin_model, monkeypatch):
         model, _ = standin_model
+        built = []
+
+        class Counted(RegressionTree):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(boosting, "RegressionTree", Counted)
         stages = model.stages
-        assert len(stages) == model.n_stages
-        for m in (0, 1, model.n_stages - 1, -1):
-            stage = stages[m]
+        assert iter(stages) is stages and model.stages is not stages and not built  # a new, lazy generator
+        for m, stage in enumerate(stages):
+            assert len(built) == m + 1  # one Stage made per step
+            assert stage._fields == ("tree", "gamma") and stage == (stage.tree, stage.gamma)
             assert stage.gamma == model.gamma[m] and stage.tree.n_features == model.n_features
             for k in tree_module.NODE_FIELDS:
                 got, want = getattr(stage.tree, k), model.nodes[k][m, : model.node_count[m]]
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, k)
-        assert [s.gamma for s in stages[2:5]] == model.gamma[2:5].tolist()
+        assert m == model.n_stages - 1
+        assert [s.gamma for s in model.stages] == model.gamma.tolist()
 
 
 def _tiled(model, n_stages):

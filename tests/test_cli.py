@@ -1,8 +1,10 @@
+import builtins
 import contextlib
 import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from brt import cli, interpret
 from brt.cli import main
 from brt.interpret import MAX_GRID_POINTS
 from brt.data import Dataset, load_model_table, write_model_table
+from brt.model_io import load_model
 from brt.standin import bundled_path
 
 from conftest import write_toy_raw
@@ -25,9 +28,9 @@ def run(argv, capsys):
 
 
 def _table_named(path, names):
-    """Write a 20-row model table with two predictors named names to path."""
+    """Write a 20-row model table with predictors named names (two or more) to path."""
     rng = np.random.default_rng(13)
-    X = rng.uniform(0, 2, size=(20, 2))
+    X = rng.uniform(0, 2, size=(20, len(names)))
     write_model_table(Dataset((2000 + i for i in range(1, 21)), names, X, X[:, 0] * X[:, 1] + X[:, 1]), path)
     return path
 
@@ -637,3 +640,88 @@ def test_pdp_names_a_feature_that_cannot_name_a_file_before_writing(tmp_path, ca
     assert code == 1
     assert err == "error: feature 'F/D' cannot name an output file: it holds '/' or NUL\n"
     assert not out.exists()
+
+
+def test_surface_that_would_overwrite_a_profile_is_refused(tmp_path, capsys):
+    table = _table_named(tmp_path / "t.csv", ("A", "B", "A_x_B"))
+    trained = tmp_path / "run"
+    assert run(["train", str(table), "--out", str(trained)] + TRAIN_FLAGS, capsys)[0] == 0
+    model, out = str(trained / "model.brtm"), tmp_path / "pd"
+    assert run(["pdp", model, str(table), "--out", str(out), "--all"], capsys)[0] == 0
+    profile = [(out / f"pd_A_x_B.{ext}").read_bytes() for ext in ("csv", "svg")]
+    fresh = tmp_path / "fresh"
+    for where in (out, fresh):
+        code, _, err = run(["pdp", model, str(table), "--out", str(where), "--feature", "A", "--feature2", "B"], capsys)
+        assert code == 1
+        assert err == (
+            "error: the surface of 'A' and 'B' would overwrite the profile of feature 'A_x_B': "
+            "both write pd_A_x_B.csv and .svg\n"
+        )
+    assert [(out / f"pd_A_x_B.{ext}").read_bytes() for ext in ("csv", "svg")] == profile
+    assert not fresh.exists()
+    assert run(["pdp", model, str(table), "--out", str(out), "--feature", "B", "--feature2", "A"], capsys)[0] == 0
+
+
+def test_pdp_on_a_fully_missing_feature_names_it_and_writes_nothing(tmp_path, capsys):
+    table = tmp_path / "holes.csv"
+    X = np.array([[1.0, np.nan], [2.0, np.nan], [3.0, np.nan], [4.0, np.nan]])
+    write_model_table(Dataset(range(2001, 2005), ("A", "B"), X, X[:, 0] ** 2), table)
+    trained = tmp_path / "run"
+    assert run(["train", str(table), "--out", str(trained), "--trees", "20", "--min-leaf", "1"], capsys)[0] == 0
+    model = trained / "model.brtm"
+    for flags in (["--all"], ["--feature", "B"], ["--feature", "A", "--feature2", "B"]):
+        code, _, err = run(["pdp", str(model), str(table), "--out", str(trained), *flags], capsys)
+        assert code == 1
+        assert err == f"error: {model} with {table}: cannot grid a fully missing feature 'B'\n"
+        assert not list(trained.glob("pd_*"))
+
+
+def test_unknown_model_fields_are_one_warning_line_naming_the_file(tmp_path, capsys, toy_table):
+    trained = tmp_path / "run"
+    assert run(["train", str(toy_table), "--out", str(trained)] + TRAIN_FLAGS, capsys)[0] == 0
+    lines = (trained / "model.brtm").read_text().splitlines()
+    header = json.loads(lines[1])
+    header["config"]["extra"] = 1
+    lines[1] = json.dumps(header)
+    extra = tmp_path / "extra.brtm"
+    extra.write_text("\n".join(lines) + "\n")
+    shown = warnings.showwarning
+    for argv in (["pdp", str(extra), str(toy_table), "--feature", "alpha"], ["report", str(extra), str(toy_table)]):
+        code, _, err = run([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 0
+        assert err == f"warning: {extra}: model file line 2: ignoring unknown field(s) ['extra']\n"
+    assert warnings.showwarning is shown
+    with pytest.warns(UserWarning, match=r"^model file line 2: ignoring unknown field\(s\) \['extra'\]$"):
+        load_model(extra)
+
+
+def test_every_text_file_is_written_without_newline_translation(tmp_path, capsys, monkeypatch, toy_table):
+    """Text-mode writes that translated "\\n" would write "\\r\\n" on Windows, so models and figures would
+    differ by platform; each open and Path.write_text (which goes through Path.open) must turn it off."""
+    real_open, real_path_open, opened = builtins.open, Path.open, []
+
+    def text_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, *args, **kwargs):
+        if "b" not in mode:
+            opened.append((Path(file).name, newline))
+        return real_open(file, mode, buffering, encoding, errors, newline, *args, **kwargs)
+
+    def path_open(self, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        if "b" not in mode:
+            opened.append((self.name, newline))
+        return real_path_open(self, mode, buffering, encoding, errors, newline)
+
+    write_toy_raw(tmp_path / "raw")
+    out, model = tmp_path / "out", str(tmp_path / "out" / "model.brtm")
+    monkeypatch.setattr(builtins, "open", text_open)
+    monkeypatch.setattr(Path, "open", path_open)
+    for argv in (
+        ["train", str(toy_table), *TRAIN_FLAGS],
+        ["report", model, str(toy_table)],
+        ["pdp", model, str(toy_table), "--all"],
+        ["build-data", "--raw", str(tmp_path / "raw")],
+    ):
+        assert run([*argv, "--out", str(out)], capsys)[0] == 0, argv
+    monkeypatch.undo()
+    written = {name for name, _ in opened}
+    assert {"model.brtm", "provenance.txt", "pd_alpha.svg", "influence.csv", "model_table.csv"} <= written
+    assert {name for name, newline in opened if newline not in ("", "\n")} == set()

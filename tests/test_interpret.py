@@ -55,16 +55,16 @@ def test_default_grid_is_bit_equal_to_np_unique(cells):
     finite = col[np.isfinite(col)]
     if finite.size == 0:
         with pytest.raises(ValueError, match="fully missing"):
-            interpret._resolve_grid(col[:, None], 0, None)
+            interpret._resolve_grid(col[:, None], 0, None, "x")
         return
-    got, want = interpret._resolve_grid(col[:, None], 0, None), np.unique(finite)
+    got, want = interpret._resolve_grid(col[:, None], 0, None, "x"), np.unique(finite)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_default_grid_keeps_the_signed_zero_np_unique_keeps():
     for cells in ([0.0, -0.0], [-0.0, 0.0], [0.0, 1.0, -0.0, 0.0, -0.0]):
         col = np.array(cells)
-        assert interpret._resolve_grid(col[:, None], 0, None).tobytes() == np.unique(col).tobytes()
+        assert interpret._resolve_grid(col[:, None], 0, None, "x").tobytes() == np.unique(col).tobytes()
 
 
 class TestRelativeInfluence:

@@ -81,8 +81,22 @@ def test_predict_tree_traversal_and_missing_default():
 
 def test_predict_tree_arity_mismatch():
     tree = two_leaf_tree()
-    with pytest.raises(ValueError, match="feature count mismatch"):
-        predict_tree(tree, [1.0, 2.0])
+    for sample in ([1.0, 2.0], 1.0, [], [[1.0]], np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="^feature count mismatch$"):
+            predict_tree(tree, sample)
+
+
+@pytest.mark.parametrize("X", [np.zeros((2, 1)), np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 1)), [[0.0, 1.0, 2.0]]])
+def test_tree_takes_only_matrices_of_its_width(X):
+    """A 3-column X was routed on its first two columns, and a 1-column one ended in an IndexError."""
+    x1 = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0], [0.0, 4.0]])  # the split is on feature 1
+    split = fit_tree(x1, [0.0, 0.0, 10.0, 10.0], TreeLimits(3, 1))
+    stump = fit_tree(np.zeros((2, 2)), [1.0, 1.0], TreeLimits(3, 1))
+    assert split.feature[0] == 1 and stump.node_count == 1
+    for call in (split.leaf_assignments, split.predict_batch, stump.leaf_assignments):
+        with pytest.raises(ValueError, match="^feature count mismatch$"):
+            call(X)
+    assert split.leaf_assignments([[9.0, 2.0], [9.0, 3.0]]).tolist() == [1, 2]
 
 
 def test_fit_tree_empty_sample():
@@ -145,11 +159,21 @@ def test_bundled_table_single_tree_limits():
 
 
 def test_split_improvements_examples():
+    def columns(*trees):  # (n_stages, widest) feature and improvement columns, leaves past a tree's nodes
+        width = max(t.node_count for t in trees)
+        pad = [
+            np.pad(a, (0, width - t.node_count), constant_values=v)
+            for t in trees
+            for a, v in ((t.feature, -1), (t.improvement, 0.0))
+        ]
+        return np.array(pad[0::2]), np.array(pad[1::2])
+
     stump = fit_tree(np.array([[1.0], [2.0]]), [3.0, 3.0], TreeLimits(3, 1))
-    assert split_improvements(stump.feature, stump.improvement, stump.n_features).tolist() == [0.0]
+    assert split_improvements(*columns(stump), 1).tolist() == [0.0]
 
     tree = two_leaf_tree()
-    assert split_improvements(tree.feature, tree.improvement, tree.n_features).tolist() == [100.0]
+    assert split_improvements(*columns(tree), 1).tolist() == [100.0]
+    assert split_improvements(*columns(stump, tree, tree), 1).tolist() == [200.0]
 
     manual = RegressionTree(
         feature=[0, 0, -1, -1, 1, -1, -1],
@@ -161,7 +185,9 @@ def test_split_improvements_examples():
         improvement=[8.0, 2.0, 0.0, 0.0, 5.0, 0.0, 0.0],
         n_features=2,
     )
-    assert split_improvements(manual.feature, manual.improvement, manual.n_features).tolist() == [10.0, 5.0]
+    assert split_improvements(*columns(manual), 2).tolist() == [10.0, 5.0]
+    assert split_improvements(*columns(tree, manual), 2).tolist() == [110.0, 5.0]
+    assert split_improvements(np.empty((0, 3), np.int64), np.empty((0, 3)), 2).tolist() == [0.0, 0.0]
 
 
 def test_improvement_identity_against_recomputed_sse():
