@@ -12,9 +12,7 @@ from .boosting import (
     staged_metric,
 )
 from .data import (
-    AnnualTable,
     Dataset,
-    SeriesTable,
     assemble_model_table,
     fao_inr,
     load_model_table,
@@ -48,7 +46,6 @@ from .tree import (
 )
 
 __all__ = [
-    "AnnualTable",
     "BoostConfig",
     "BoostedModel",
     "Dataset",
@@ -59,7 +56,6 @@ __all__ = [
     "PDProfile",
     "PDSurface",
     "RegressionTree",
-    "SeriesTable",
     "SplitMix64",
     "Stage",
     "StagedCurve",

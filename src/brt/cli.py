@@ -220,6 +220,13 @@ def cmd_pdp(args) -> int:
                 f"the surface of {args.feature!r} and {args.feature2!r} would overwrite the profile of "
                 f"feature {pair!r}: both write {stem}.csv and .svg"
             )
+        # So does the surface of any other cut of pair, at an "_x_", into two distinct features.
+        for a, b in ((pair[:i], pair[i + 3 :]) for i in range(len(pair)) if pair.startswith("_x_", i)):
+            if a != b and (a, b) != (args.feature, args.feature2) and {a, b} <= set(model.feature_names):
+                raise ValueError(
+                    f"the surface of {args.feature!r} and {args.feature2!r} would overwrite that of {a!r} and "
+                    f"{b!r}: both write {stem}.csv and .svg"
+                )
         with naming(args.model, args.data):
             surface = partial_dependence_2d(model, j, k, data, grid_spec=args.grid)
         out = _out_dir(args)

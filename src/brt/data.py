@@ -3,9 +3,10 @@
 The model table is one row per fiscal year: a response column plus any
 number of real-valued predictor columns, percent units throughout, with
 missing cells allowed in predictors only. Raw source series (price
-indices, wages, rainfall, ...) are loaded into per-file annual tables and
-combined by ``assemble_model_table`` into the model table via year-on-year
-changes, weighted indices, currency conversion, and monsoon deviation.
+indices, wages, rainfall, ...) are read into year -> value maps, keyed by
+file stem, and combined by ``assemble_model_table`` into the model table via
+year-on-year changes, weighted indices, currency conversion, and monsoon
+deviation.
 
 Fiscal years are keyed by their ending calendar year: the label FY07
 means the year ending 31 March 2007 and is stored as 2007.
@@ -17,7 +18,8 @@ import contextlib
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -115,33 +117,6 @@ class Dataset:
         if years is None:
             years = tuple(range(1, X.shape[0] + 1))
         return cls(tuple(years), tuple(feature_names), X, y, response_name)
-
-
-@dataclass(frozen=True)
-class AnnualTable:
-    """One raw source series: named numeric columns keyed by fiscal year."""
-
-    years: tuple[int, ...]
-    columns: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        for a, b in zip(self.years, self.years[1:]):
-            if b <= a:
-                raise ValueError("year keys must be strictly increasing")
-        for name, vals in self.columns.items():
-            if len(vals) != len(self.years):
-                raise ValueError(f"column {name!r} length does not match years")
-
-    def series(self, name: str) -> dict[int, float]:
-        return {y: float(v) for y, v in zip(self.years, self.columns[name]) if math.isfinite(v)}
-
-
-@dataclass
-class SeriesTable:
-    """Named annual raw tables plus static weight maps (items -> weight)."""
-
-    tables: dict[str, AnnualTable] = field(default_factory=dict)
-    weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
 def _parse_cell(raw: str, row: int, col: str) -> float:
@@ -272,13 +247,14 @@ def load_model_table(source, response_name: str = RESPONSE_NAME) -> Dataset:
             raise ValueError(f"row {rows[e.row]}, column {e.column!r}: {e}") from None
 
 
-def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> AnnualTable:
-    """Read one raw series CSV (year + numeric columns) into an AnnualTable.
+def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> dict[str, dict[int, float]]:
+    """Read one raw series CSV (year + numeric columns) as ``{column: {year:
+    value}}``, years ascending, with empty and NA cells left out.
 
     When expected_columns is given, the header must match it exactly;
-    unknown columns are rejected by name. A malformed file raises a
-    ValueError, which ``naming`` prefixes with the source, naming the row
-    and column where there is one.
+    unknown columns are rejected by name. A malformed file, an infinite
+    cell among them, raises a ValueError, which ``naming`` prefixes with the
+    source, naming the row and column where there is one.
     """
 
     def check_columns(cols):
@@ -295,8 +271,12 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
                 raise ValueError(f"row 1: missing columns: {absent}")
 
     with naming(source):
-        cols, years, cells, _ = _read_year_table(source, check_columns)
-    return AnnualTable(years=years, columns={c: np.ascontiguousarray(cells[:, j]) for j, c in enumerate(cols)})
+        cols, years, cells, rows = _read_year_table(source, check_columns)
+        bad = np.argwhere(np.isinf(cells))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"row {rows[i]}, column {cols[j]!r}: values must be finite where present")
+    return {c: {y: v for y, v in zip(years, cells[:, j].tolist()) if not math.isnan(v)} for j, c in enumerate(cols)}
 
 
 def load_weights_csv(source) -> dict[str, float]:
@@ -435,28 +415,26 @@ def monsoon_deviation(
 # assembly
 
 
-def load_raw_directory(raw_dir) -> SeriesTable:
-    """Load every known raw series CSV found in a directory."""
+def load_raw_directory(raw_dir) -> dict[str, dict]:
+    """Every known raw file in a directory, keyed by file stem: each series of
+    RAW_SCHEMAS as ``load_series_csv`` reads it, ``agri_input_weights`` as an item -> weight map."""
     raw_dir = Path(raw_dir)
     if not raw_dir.is_dir():
         raise ValueError(f"{raw_dir}: not a directory")
-    table = SeriesTable()
-    for name, schema in RAW_SCHEMAS.items():
+    raw: dict[str, dict] = {}
+    for name in (*RAW_SCHEMAS, "agri_input_weights"):
         path = raw_dir / f"{name}.csv"
         if path.exists():
-            table.tables[name] = load_series_csv(path, schema)
-    wpath = raw_dir / "agri_input_weights.csv"
-    if wpath.exists():
-        table.weights["agri_input"] = load_weights_csv(wpath)
-    return table
+            raw[name] = load_series_csv(path, RAW_SCHEMAS[name]) if name in RAW_SCHEMAS else load_weights_csv(path)
+    return raw
 
 
 def assemble_model_table(
-    series: SeriesTable,
+    raw: dict[str, dict],
     rain_mean: float | None = None,
     msp_weight_year: int = 2005,
 ) -> tuple[Dataset, str]:
-    """Build the model Dataset from raw series; returns (dataset, provenance).
+    """Build the model Dataset from ``load_raw_directory``'s maps; returns (dataset, provenance).
 
     The usable year span is inferred: the run of consecutive years on which
     the response and every required predictor except ProteinExp are
@@ -465,19 +443,18 @@ def assemble_model_table(
     deviation uses ``rain_mean`` or, if omitted, the mean over all supplied
     rainfall years.
     """
-    required = [n for n in RAW_SCHEMAS]
-    missing = [n for n in required if n not in series.tables]
+    missing = [n for n in RAW_SCHEMAS if n not in raw]
     if missing:
         raise ValueError(f"missing series: {', '.join(missing)}")
-    if "agri_input" not in series.weights:
+    if "agri_input_weights" not in raw:
         raise ValueError("missing series: agri_input_weights")
 
     prov: list[str] = []
 
-    fcpi = yoy_change(series.tables["cpi_food"].series("index"))
+    fcpi = yoy_change(raw["cpi_food"]["index"])
     prov.append("FCPI: yoy_change(cpi_food.index)")
 
-    rain = series.tables["rainfall"].series("mm")
+    rain = raw["rainfall"]["mm"]
     if not rain:
         raise ValueError("rainfall series is empty")
     mean = rain_mean if rain_mean is not None else sum(rain.values()) / len(rain)
@@ -487,26 +464,24 @@ def assemble_model_table(
         + ("" if rain_mean is not None else " [mean over supplied years]")
     )
 
-    prod_tbl = series.tables["msp_production"]
-    if msp_weight_year not in prod_tbl.years:
+    production = raw["msp_production"]
+    wrow = {crop: col[msp_weight_year] for crop, col in production.items() if msp_weight_year in col}
+    if not wrow:
         raise ValueError(f"MSP weight year {fy_label(msp_weight_year)} not in msp_production")
-    wrow = {c: prod_tbl.series(c).get(msp_weight_year, float("nan")) for c in prod_tbl.columns}
-    if any(math.isnan(v) for v in wrow.values()):
+    if len(wrow) < len(production):
         raise ValueError(f"msp_production has missing cells at {fy_label(msp_weight_year)}")
-    crop_prices, price_years = _covered_years(series, "msp_prices", "crop")
-    msp_base = price_years[0]
-    msp_index = weighted_index(crop_prices, wrow, msp_base)
-    msp = yoy_change(msp_index)
+    msp_base = _covered_years(raw, "msp_prices", "crop")[0]
+    msp = yoy_change(weighted_index(raw["msp_prices"], wrow, msp_base))
     prov.append(
         f"MSP: yoy_change(weighted_index(msp_prices, weights=production shares {fy_label(msp_weight_year)},"
         f" base={fy_label(msp_base)})) [YoY is base-invariant]"
     )
 
-    fao = yoy_change(fao_inr(series.tables["fao_usd"].series("index"), series.tables["fx_inr_usd"].series("rate")))
+    fao = yoy_change(fao_inr(raw["fao_usd"]["index"], raw["fx_inr_usd"]["rate"]))
     prov.append("FAO: yoy_change(fao_usd.index * fx_inr_usd.rate)")
 
-    gdp = series.tables["gdp"].series("value")
-    deficit = series.tables["fiscal_deficit"].series("value")
+    gdp = raw["gdp"]["value"]
+    deficit = raw["fiscal_deficit"]["value"]
     fd = {}
     for y in sorted(set(gdp) & set(deficit)):
         if not gdp[y] > 0:
@@ -514,27 +489,23 @@ def assemble_model_table(
         fd[y] = 100.0 * deficit[y] / gdp[y]
     prov.append("FD: 100 * fiscal_deficit.value / gdp.value")
 
-    wage_series, wage_years = _covered_years(series, "farm_wages", "operation")
-    ops = sorted(wage_series)
-    wage_mean = {y: sum(wage_series[op][y] for op in ops) / len(ops) for y in wage_years}
+    wages = raw["farm_wages"]
+    ops = sorted(wages)
+    wage_mean = {y: sum(wages[op][y] for op in ops) / len(ops) for y in _covered_years(raw, "farm_wages", "operation")}
     fwi = yoy_change(wage_mean)
     prov.append(f"FWI: yoy_change(mean of farm_wages[{', '.join(ops)}]) [unweighted operations mean]")
 
-    ai_prices, ai_years = _covered_years(series, "agri_input_prices", "input")
-    ai_base = ai_years[0]
-    agril = yoy_change(weighted_index(ai_prices, series.weights["agri_input"], ai_base))
+    ai_base = _covered_years(raw, "agri_input_prices", "input")[0]
+    agril = yoy_change(weighted_index(raw["agri_input_prices"], raw["agri_input_weights"], ai_base))
     prov.append(f"AgrilInput: yoy_change(weighted_index(agri_input_prices, agri_input_weights, base={fy_label(ai_base)}))")
 
-    pfce_tbl = series.tables["pfce"]
+    pfce = raw["pfce"]
     ratio: dict[int, float] = {}
-    for i, y in enumerate(pfce_tbl.years):
-        parts = [float(pfce_tbl.columns[c][i]) for c in PROTEIN_ITEMS]
-        total = float(pfce_tbl.columns["total_food"][i])
-        if any(math.isnan(v) for v in parts) or math.isnan(total):
-            continue
+    for y in _covered_years(raw, "pfce"):  # none is no error: ProteinExp is optional
+        total = pfce["total_food"][y]
         if not total > 0:
             raise ValueError(f"nonpositive total_food at {fy_label(y)}")
-        ratio[y] = 100.0 * sum(parts) / total
+        ratio[y] = 100.0 * sum(pfce[c][y] for c in PROTEIN_ITEMS) / total
     protein = yoy_change(ratio) if len(ratio) >= 2 else {}
     prov.append("ProteinExp: yoy_change(100 * sum(pfce protein items) / pfce.total_food) [missing where PFCE ends]")
 
@@ -558,26 +529,18 @@ def assemble_model_table(
     return dataset, "\n".join(prov) + "\n"
 
 
-def _covered_years(series: SeriesTable, name: str, item: str) -> tuple[dict[str, dict[int, float]], list[int]]:
-    """Each column of table ``name`` as a year -> value map, and the years,
-    ascending, that every column covers; a ValueError naming the table if
-    there are none (``item`` is what a column holds)."""
-    table = series.tables[name]
-    columns = {c: table.series(c) for c in table.columns}
-    years = sorted(set.intersection(*map(set, columns.values())))
-    if not years:
+def _covered_years(raw: dict[str, dict], name: str, item: str | None = None) -> list[int]:
+    """The years, ascending, that every column of raw series ``name`` covers;
+    a ValueError naming the series if there are none and ``item``, what a
+    column holds, is given."""
+    years = sorted(set.intersection(*map(set, raw[name].values())))
+    if not years and item:
         raise ValueError(f"{name} has no year covered by every {item}")
-    return columns, years
+    return years
 
 
 def _longest_consecutive_run(years: list[int]) -> list[int]:
-    best: list[int] = []
-    run: list[int] = []
-    for y in years:
-        if run and y == run[-1] + 1:
-            run.append(y)
-        else:
-            run = [y]
-        if len(run) > len(best):
-            best = run
-    return best
+    """The first longest run of consecutive years in ascending ``years``: a
+    run's years less their positions are one constant."""
+    runs = ([y for _, y in run] for _, run in groupby(enumerate(years), lambda iy: iy[1] - iy[0]))
+    return max(runs, key=len)

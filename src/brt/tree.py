@@ -196,6 +196,8 @@ class TreeFitter:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("samples must be a 2-D feature matrix")
+        if np.isinf(X).any():
+            raise ValueError("predictor values must be finite where present")
         self.limits = limits
         self.XT = XT = np.ascontiguousarray(X.T)
         n, d = X.shape

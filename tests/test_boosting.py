@@ -126,6 +126,14 @@ class TestFitEnsemble:
         with pytest.raises(ValueError, match="no usable response values"):
             fit_ensemble(Raw(), BoostConfig(n_trees=1))
 
+    def test_infinite_predictor_rejected_before_any_stage(self):
+        """Dataset rejects the cell; data that is not a Dataset gets the fitter's check,
+        not a model whose -inf threshold save_model cannot write."""
+        data = SimpleNamespace(X=np.array([[-np.inf], [1.0], [2.0], [3.0]]), y=np.array([0.0, 10.0, 10.0, 10.0]),
+                               feature_names=("x0",))
+        with pytest.raises(ValueError, match="^predictor values must be finite where present$"):
+            fit_ensemble(data, BoostConfig(n_trees=3, min_leaf_obs=1, subsample_fraction=1.0))
+
     def test_rows_with_missing_response_are_dropped(self):
         class Raw:
             X = np.array([[1.0], [2.0], [3.0], [4.0]])

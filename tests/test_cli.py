@@ -498,6 +498,14 @@ class TestBuildData:
         assert f"{path}: row 3, column 'item': duplicate item 'diesel'" in err
         assert "Traceback" not in err
 
+    def test_infinite_raw_cell_names_the_file_row_and_column(self, tmp_path, capsys):
+        write_toy_raw(tmp_path / "raw")
+        path, out = tmp_path / "raw" / "rainfall.csv", tmp_path / "o"
+        path.write_text("year,mm\n2005,900\n2006,inf\n2007,945\n")
+        code, _, err = run(["build-data", "--raw", str(tmp_path / "raw"), "--out", str(out)], capsys)
+        assert (code, err) == (1, f"error: {path}: row 3, column 'mm': values must be finite where present\n")
+        assert not out.exists()
+
     def test_no_year_covered_by_every_input_names_the_series(self, tmp_path, capsys):
         write_toy_raw(tmp_path / "raw")
         (tmp_path / "raw" / "agri_input_prices.csv").write_text("year,diesel,fertiliser\n2004,100,\n2005,,100\n")
@@ -660,6 +668,23 @@ def test_surface_that_would_overwrite_a_profile_is_refused(tmp_path, capsys):
     assert [(out / f"pd_A_x_B.{ext}").read_bytes() for ext in ("csv", "svg")] == profile
     assert not fresh.exists()
     assert run(["pdp", model, str(table), "--out", str(out), "--feature", "B", "--feature2", "A"], capsys)[0] == 0
+
+
+def test_surfaces_that_would_write_the_same_files_are_refused(tmp_path, capsys):
+    table = _table_named(tmp_path / "t.csv", ("A", "B_x_C", "A_x_B", "C"))
+    trained = tmp_path / "run"
+    assert run(["train", str(table), "--out", str(trained)] + TRAIN_FLAGS, capsys)[0] == 0
+    model, out = str(trained / "model.brtm"), tmp_path / "pd"
+    for pair, other in ((("A", "B_x_C"), ("A_x_B", "C")), (("A_x_B", "C"), ("A", "B_x_C"))):
+        code, _, err = run(["pdp", model, str(table), "--out", str(out), "--feature", pair[0], "--feature2", pair[1]], capsys)
+        assert code == 1
+        assert err == (
+            f"error: the surface of {pair[0]!r} and {pair[1]!r} would overwrite that of {other[0]!r} and "
+            f"{other[1]!r}: both write pd_A_x_B_x_C.csv and .svg\n"
+        )
+    assert not out.exists()
+    assert run(["pdp", model, str(table), "--out", str(out), "--feature", "C", "--feature2", "A_x_B"], capsys)[0] == 0
+    assert sorted(p.name for p in out.iterdir()) == ["pd_C_x_A_x_B.csv", "pd_C_x_A_x_B.svg"]
 
 
 def test_pdp_on_a_fully_missing_feature_names_it_and_writes_nothing(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from brt.data import (
     MODEL_PREDICTORS,
-    AnnualTable,
     Dataset,
     assemble_model_table,
     fao_inr,
@@ -186,9 +185,34 @@ class TestLoadSeriesCsv:
             load_series_csv(io.StringIO("year,index\n"), ("index",))
 
     def test_any_columns_when_unconstrained(self):
-        tbl = load_series_csv(io.StringIO("year,rice,wheat\n2001,1,2\n2002,3,4\n"))
-        assert set(tbl.columns) == {"rice", "wheat"}
-        assert tbl.series("rice") == {2001: 1.0, 2002: 3.0}
+        series = load_series_csv(io.StringIO("year,rice,wheat\n2002,3,\n2001,1,2\n"))
+        assert series == {"rice": {2001: 1.0, 2002: 3.0}, "wheat": {2001: 2.0}}
+        assert [list(years) for years in series.values()] == [[2001, 2002], [2001]]
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+    def test_infinite_cell_names_row_and_column(self, cell):
+        with pytest.raises(ValueError, match="^<stream>: row 3, column 'wheat': values must be finite where present$"):
+            load_series_csv(io.StringIO(f"year,rice,wheat\n2001,1,2\n2002,3,{cell}\n2003,,-inf\n"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_property_reads_back_as_year_value_maps(self, data):
+        """A year-keyed CSV of finite values, empty and NA cells, rows in any
+        order, reads back as one year -> value map per column, years ascending,
+        missing cells left out."""
+        years = data.draw(st.lists(st.integers(1900, 2100), min_size=1, max_size=8, unique=True))
+        names = data.draw(st.lists(st.sampled_from(["rice", "wheat", "mm", "index"]), min_size=1, unique=True))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        cells = {(y, c): data.draw(st.one_of(finite, st.sampled_from(["", "NA", " na "]))) for y in years for c in names}
+
+        def text(v):  # a value as its shortest round-trip repr, a missing cell as it is
+            return repr(v) if isinstance(v, float) else v
+
+        lines = [",".join([str(y), *(text(cells[y, c]) for c in names)]) for y in years]
+        text = "\n".join(["year," + ",".join(names), *data.draw(st.permutations(lines))]) + "\n"
+        series = load_series_csv(io.StringIO(text), tuple(names))
+        assert series == {c: {y: cells[y, c] for y in sorted(years) if isinstance(cells[y, c], float)} for c in names}
+        assert all(list(m) == sorted(m) for m in series.values())
 
 
 class TestLoadWeightsCsv:
@@ -378,6 +402,17 @@ class TestAssemble:
         protein = ds.X[:, MODEL_PREDICTORS.index("ProteinExp")]
         assert math.isnan(protein[-1])
         assert np.isfinite(protein[:-1]).all()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("2005,60,", "msp_production has missing cells at FY05"), ("2005,,", "MSP weight year FY05 not in msp_production")],
+        ids=["some-empty", "all-empty"],
+    )
+    def test_weight_year_needs_every_crop(self, tmp_path, row, message):
+        write_toy_raw(tmp_path / "raw")
+        (tmp_path / "raw" / "msp_production.csv").write_text(f"year,rice,wheat\n{row}\n2006,1,1\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            assemble_model_table(load_raw_directory(tmp_path / "raw"), rain_mean=900.0, msp_weight_year=2005)
 
     def test_weight_year_must_exist(self, tmp_path):
         write_toy_raw(tmp_path / "raw")

@@ -104,6 +104,15 @@ def test_fit_tree_empty_sample():
         fit_tree(np.empty((0, 2)), [], TreeLimits(3, 1))
 
 
+@pytest.mark.parametrize("cell", [-np.inf, np.inf])
+def test_fitter_refuses_infinite_predictors(cell):
+    """An infinite cell would become an infinite threshold, which goes_right and brtm/1 rule out."""
+    with pytest.raises(ValueError, match="^predictor values must be finite where present$"):
+        fit_tree([[cell], [1.0], [2.0], [3.0]], [0.0, 10.0, 10.0, 10.0], TreeLimits(3, 1))
+    with pytest.raises(ValueError, match="^predictor values must be finite where present$"):
+        TreeFitter(np.array([[1.0, 2.0], [np.nan, cell]]), TreeLimits())
+
+
 def test_fewer_rows_than_two_min_leaf_gives_stump():
     # 3 rows cannot satisfy two leaves of >= 2 records: stump, not an error
     tree = fit_tree(np.array([[1.0], [2.0], [3.0]]), [1.0, 2.0, 3.0], TreeLimits(6, 2))
