@@ -1,13 +1,14 @@
-"""Command-line interface: train, report, pdp, build-data.
+"""The bodies of the commands train, report, pdp and build-data.
 
-Every figure is written as a deterministic SVG next to a CSV holding
-exactly the plotted numbers. Exit codes: 0 success, 1 runtime or model
-error, 2 usage error (argparse's convention).
+``brt.args`` parses the command line before this module, and numpy with
+it, is imported; ``main`` here is that parser's entry point, and ``run``
+runs the command it parsed. Every figure is written as a deterministic
+SVG next to a CSV holding exactly the plotted numbers. Exit codes: 0
+success, 1 runtime or model error, 2 usage error (argparse's convention).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import warnings
 from dataclasses import replace
@@ -16,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
+from .args import BOOST_FLAGS, build_parser, main  # noqa: F401  (main is the entry point of brt.cli too)
 from .boosting import BoostConfig, fit_ensemble, predict_batch, staged_metric
 from .data import (
     assemble_model_table, fy_label, load_model_table, load_raw_directory, monsoon_deviation, naming, write_csv,
     write_model_table
 )
-from .interpret import (
-    MAX_GRID_POINTS, _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
-)
+from .interpret import _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
 from .metrics import fit_report, resolve_threshold
 from .model_io import load_model, save_model
 
@@ -34,17 +34,6 @@ def _fmt(v: float) -> str:
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     write_csv(path, [header, *([_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows)])
-
-
-# train's flags that set BoostConfig fields: flag, field (the flag's dest), type, help.
-BOOST_FLAGS = (
-    ("--trees", "n_trees", int, "number of boosting stages"),
-    ("--learn-rate", "learn_rate", float, "shrinkage factor per stage"),
-    ("--max-nodes", "max_nodes", int, "total node budget per tree"),
-    ("--min-leaf", "min_leaf_obs", int, "minimum records per leaf"),
-    ("--subsample", "subsample_fraction", float, "row fraction drawn per stage"),
-    ("--seed", "seed", int, "random seed"),
-)
 
 
 def _config_from_args(args) -> BoostConfig:
@@ -286,63 +275,19 @@ def cmd_build_data(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="brt", description="Boosted regression trees with interpretation analytics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fit a model and write fit diagnostics")
-    p.add_argument("data", help="model-table CSV")
-    p.add_argument("--out", default=".", help="output directory")
-    for flag, field, kind, help in BOOST_FLAGS:
-        p.add_argument(flag, type=kind, dest=field, metavar=flag[2:].upper().replace("-", "_"), help=help)
-    p.add_argument("--stride", type=int, default=None, help="staged-curve stride (default n_trees/500)")
-    p.add_argument("--roc-threshold", default="median", help="median | mean | value:x")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("report", help="influence and interaction tables for a fitted model")
-    p.add_argument("model", help="model file (brtm/1)")
-    p.add_argument("data", help="model-table CSV")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--top", type=int, default=5, help="pairwise rows to print")
-    p.add_argument(
-        "--interaction-denominator",
-        choices=("model", "response"),
-        default="model",
-        help="normalise interaction scores by model-output or response variation",
-    )
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("pdp", help="partial dependence curves and surfaces")
-    p.add_argument("model", help="model file (brtm/1)")
-    p.add_argument("data", help="model-table CSV")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--feature", default=None, help="feature name")
-    p.add_argument("--feature2", default=None, help="second feature (makes a surface)")
-    p.add_argument("--all", action="store_true", help="one profile per feature")
-    grid_help = f"linear grid size (default: observed values); at most {MAX_GRID_POINTS} points per profile or surface"
-    p.add_argument("--grid", type=int, default=None, help=grid_help)
-    p.set_defaults(func=cmd_pdp)
-
-    p = sub.add_parser("build-data", help="assemble the model table from raw series CSVs")
-    p.add_argument("--raw", required=True, help="directory of raw series CSVs")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--rain-mean", type=float, default=None, help="long-term mean rainfall (mm)")
-    p.add_argument("--msp-weight-year", type=int, default=2005, help="production-share year for MSP weights")
-    p.set_defaults(func=cmd_build_data)
-
-    return parser
+COMMANDS = {"train": cmd_train, "report": cmd_report, "pdp": cmd_pdp, "build-data": cmd_build_data}
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args) -> int:
+    """Run a command that ``brt.args.build_parser`` parsed; a runtime or model error
+    prints one line and returns 1."""
     try:
         _check_out(args.out)  # every command writes to --out
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+if __name__ == "__main__":  # run this module's commands: main would import brt.cli a second time
+    raise SystemExit(run(build_parser().parse_args()))

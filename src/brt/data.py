@@ -119,12 +119,20 @@ class Dataset:
         return cls(tuple(years), tuple(feature_names), X, y, response_name)
 
 
+def _ascii_number(kind, text: str):
+    """kind(text), where kind is float or int, for text of ASCII characters
+    without '_': both would also read digit-group underscores and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain number: {text!r}")
+    return kind(text)
+
+
 def _parse_cell(raw: str, row: int, col: str) -> float:
     text = raw.strip()
     if text == "" or text.upper() == "NA":
         return float("nan")
     try:
-        return float(text)
+        return _ascii_number(float, text)
     except ValueError:
         raise ValueError(f"non-numeric cell at row {row}, column {col!r}: {raw!r}") from None
 
@@ -205,7 +213,7 @@ def _read_year_table(source, check_columns) -> tuple[list[str], tuple[int, ...],
         if len(row) != len(header):
             raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
         try:
-            year = int(row[0].strip())
+            year = _ascii_number(int, row[0].strip())
         except ValueError:
             raise ValueError(f"non-numeric cell at row {i}, column 'year': {row[0]!r}") from None
         if year in seen:
@@ -443,11 +451,9 @@ def assemble_model_table(
     deviation uses ``rain_mean`` or, if omitted, the mean over all supplied
     rainfall years.
     """
-    missing = [n for n in RAW_SCHEMAS if n not in raw]
+    missing = [n for n in (*RAW_SCHEMAS, "agri_input_weights") if n not in raw]
     if missing:
         raise ValueError(f"missing series: {', '.join(missing)}")
-    if "agri_input_weights" not in raw:
-        raise ValueError("missing series: agri_input_weights")
 
     prov: list[str] = []
 

@@ -34,12 +34,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .args import MAX_GRID_POINTS
 from .boosting import BoostedModel, _blocks, _pass_table, _usable_rows, predict_batch
 from .tree import split_improvements
-
-# The most points one profile or surface may have (a 1024 x 1024 surface), checked
-# before any grid is made, since a surface allocates grid-squared points.
-MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -387,6 +387,13 @@ class TestAssemble:
         with pytest.raises(ValueError, match="missing series: agri_input_weights"):
             assemble_model_table(series)
 
+    def test_every_missing_input_reported_in_one_error(self, tmp_path):
+        write_toy_raw(tmp_path / "raw")
+        (tmp_path / "raw" / "fx_inr_usd.csv").unlink()
+        (tmp_path / "raw" / "agri_input_weights.csv").unlink()
+        with pytest.raises(ValueError, match="^missing series: fx_inr_usd, agri_input_weights$"):
+            assemble_model_table(load_raw_directory(tmp_path / "raw"))
+
     def test_late_starting_wages_shift_first_usable_year(self, tmp_path):
         write_toy_raw(tmp_path / "raw")
         wages = (tmp_path / "raw" / "farm_wages.csv").read_text().splitlines()
@@ -515,3 +522,21 @@ def test_mutated_series_loads_or_names_file_row_and_column(csv_dir, data):
 def test_mutated_weights_load_or_name_file_row_and_column(csv_dir, data):
     text, cell = _mutate(_WEIGHTS_CSV, data)
     _load_or_named_error(load_weights_csv, csv_dir / "weights.csv", text, cell)
+
+
+@pytest.mark.parametrize(
+    "load, template, column",
+    [
+        (load_model_table, "year,FCPI,MSP\n2001,1.0,2.0\n2002,1.5,{}\n", "MSP"),
+        (load_model_table, "year,FCPI,MSP\n2001,1.0,2.0\n{},1.5,2.5\n", "year"),
+        (load_series_csv, "year,rice\n2001,1\n2002,{}\n", "rice"),
+        (load_series_csv, "year,rice\n2001,1\n{},2\n", "year"),
+        (load_weights_csv, "item,weight\na,1\nb,{}\n", "weight"),
+    ],
+    ids=["model-table", "model-table-year", "series", "series-year", "weights"],
+)
+@pytest.mark.parametrize("cell", ["2_002", "٣", "１"], ids=["underscore", "arabic-indic", "fullwidth"])
+def test_digit_group_underscores_and_non_ascii_digits_refused(load, template, column, cell):
+    """float() and int() read these as numbers; a cell of the tables must be ASCII without '_'."""
+    with pytest.raises(ValueError, match=f"^<stream>: non-numeric cell at row 3, column '{column}': '{cell}'$"):
+        load(io.StringIO(template.format(cell)))
