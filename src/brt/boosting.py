@@ -30,10 +30,10 @@ from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits, goes_righ
 
 # The node fields that decide which leaf a row reaches.
 ROUTING = ("feature", "threshold", "missing_right", "left", "right")
-# Cells of temporaries that one block of structures aims to hold at once, a bool
-# being one cell and a float eight: 128 KiB, small enough to keep the commands'
-# peak memory about flat, large enough to amortise each numpy step. A block holds
-# at least one structure, whatever that takes; copies of the rows are not counted.
+# Bytes of temporaries (fail masks, float rows, keys) that one block of structures or
+# stages aims to hold at once: 128 KiB, small enough to keep the commands' peak memory
+# about flat, large enough to amortise each numpy step. A block holds at least one,
+# whatever that takes; copies of the rows are not counted.
 BLOCK_CELLS = 1 << 17
 
 
@@ -130,19 +130,24 @@ class BoostedModel:
         """Each distinct tree structure, in order of first use, as one row of
         (n_structures, widest tree) columns: the ROUTING fields of its first
         stage, padded with leaf placeholders, a leaf's children being -1 whatever
-        the file held there; ``leaf``, true at its leaves; and ``table``, the
-        scaled values of its stages' leaves summed in stage order, 0 off the
-        leaves."""
+        the file held there; ``leaf``, true at its leaves; ``leaves``, its leaf
+        positions in node order, then a position off them up to the most leaves;
+        and ``table``, at each of ``leaves``, the scaled values of its stages'
+        leaves summed in stage order, 0 off the leaves."""
         # ids are numbered by first use: id s first appears where the running maximum reaches s
         rows = np.searchsorted(np.maximum.accumulate(self.structure), np.arange(self.structure.max(initial=-1) + 1))
         columns = {k: self.nodes[k][rows] for k in ROUTING}
         for k in ("left", "right"):
             columns[k] = np.where(columns["feature"] >= 0, columns[k], -1)
-        width = self.scaled.shape[1]
-        columns["leaf"] = (columns["feature"] < 0) & (np.arange(width) < self.node_count[rows][:, None])
-        tables = np.zeros((len(rows), width))
+        filled = np.arange(self.scaled.shape[1]) < self.node_count[rows][:, None]
+        leaf = columns["leaf"] = (columns["feature"] < 0) & filled
+        rank = np.cumsum(leaf, axis=1) - 1  # each leaf's place among its structure's leaves
+        # padding, a position off the leaves (the root, or position 1 of a one-node tree), then the leaves
+        leaves = np.repeat(leaf[:, :1].astype(np.intp), rank[:, -1].max(initial=-1) + 1, axis=1)
+        leaves[leaf.nonzero()[0], rank[leaf]] = leaf.nonzero()[1]
+        tables = np.zeros(leaf.shape)
         np.add.at(tables, self.structure, self.scaled)
-        columns["table"] = np.where(columns["leaf"], tables, 0.0)
+        columns["leaves"], columns["table"] = leaves, np.take_along_axis(np.where(leaf, tables, 0.0), leaves, axis=1)
         return columns
 
     @cached_property
@@ -261,26 +266,38 @@ def _blocks(ids, cells: int):
     return [ids[a : a + size] for a in range(0, len(ids), size)]
 
 
-def _pass_table(columns: dict, V: np.ndarray, cols) -> np.ndarray:
-    """ok[s, i, row]: does V's row pass every split along the path to node i of
-    structure s? Column c of V holds values of feature cols[c]; a split on a
-    feature outside `cols` lets every row through. `columns` holds
-    structure_tables rows. One numpy step per node position serves every
-    structure, since children are numbered after their parent."""
+def _mask_blocks(model: BoostedModel, ids, rows: int, n_columns: int):
+    """(block, its structure_tables rows) for runs of the structure ids `ids`, as many as fit
+    in BLOCK_CELLS at a fail mask over width + 1 node positions and two float rows per row."""
+    tables, size = model.structure_tables, np.min_scalar_type((1 << n_columns) - 1).itemsize
+    for block in _blocks(ids, ((tables["feature"].shape[1] + 1) * size + 16) * rows):
+        yield block, {k: v[block] for k, v in tables.items()}
+
+
+def _fail_mask(columns: dict, V: np.ndarray, cols) -> np.ndarray:
+    """fail[s, l, row]: bit c is set when V's row leaves the path to leaf
+    ``columns["leaves"][s, l]`` at a split on feature cols[c] (column c of V);
+    a split on another feature sets none. The row passes every split on the
+    features of bits b along the path when ``fail & b == 0``. The dtype is the
+    smallest unsigned integer with a bit per column, Python ints past 64. One
+    numpy step per node position serves every structure in `columns`
+    (structure_tables rows), as children are numbered after their parent."""
     feature, threshold, missing_right, left, right = (columns[k] for k in ROUTING)
     at = np.full(feature.shape, -1)  # the column of V holding each split's feature, -1 for none
     for c, f in enumerate(cols):
         at[feature == f] = c
+    dtype = np.min_scalar_type((1 << len(cols)) - 1)
+    bit = np.array([1 << c for c in range(len(cols))] + [0], dtype=dtype)  # bit[-1]: no column
     values = np.concatenate([V.T, np.zeros((1, V.shape[0]))])  # row -1 stands in for the other features
-    ok = np.ones((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=bool)  # a leaf's children: -1, a spare
+    fail = np.zeros((feature.shape[0], feature.shape[1] + 1, V.shape[0]), dtype=dtype)  # a leaf's children: -1, a spare
     every = np.arange(feature.shape[0])
     for i in range(feature.shape[1]):
-        skip = at[:, i, None] < 0
         up = goes_right(values[at[:, i]], threshold[:, i, None], missing_right[:, i, None])
-        parent = ok[:, i]
-        ok[every, left[:, i]] = parent & (skip | ~up)
-        ok[every, right[:, i]] = parent & (skip | up)
-    return ok[:, :-1]
+        split, parent = bit[at[:, i], None], fail[:, i]
+        right_bit = split * up  # the split's bit where the row goes right, so leaves the left path
+        fail[every, left[:, i]] = parent | right_bit
+        fail[every, right[:, i]] = parent | (split ^ right_bit)
+    return fail[every[:, None], columns["leaves"]]
 
 
 def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
@@ -290,19 +307,16 @@ def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
 
     Before the first yield, the structures those stages use (ids 0 up to
     the largest, as ids are numbered by first use) are routed once, a block
-    at a time, by the pass-table builder the analytics share: a row's leaf
-    is the one leaf position it passes to. Leaf ids are integers, kept in
-    the smallest dtype that holds them, so routing changes no bit of a sum.
+    at a time, by the fail-mask builder the analytics share: a row's leaf is
+    the first of its structure's leaves where its mask is 0, the one it
+    reaches, as the padding follows the leaves. Leaf ids are integers, kept
+    in the smallest dtype that holds them, so routing changes no bit of a sum.
     """
     scaled, structure = model.scaled, model.structure[:n_stages]
     n, d = X.shape
     leaves = np.empty((int(structure.max(initial=-1)) + 1, n), dtype=np.min_scalar_type(scaled.shape[1] - 1))
-    # per structure: a bool pass table over width + 1 node positions, its leaf-masked
-    # copy, and two 8-byte rows (the split values gathered at a node position, the argmax)
-    for block in _blocks(np.arange(len(leaves)), (2 * scaled.shape[1] + 17) * n):
-        columns = {k: model.structure_tables[k][block] for k in (*ROUTING, "leaf")}
-        ok = _pass_table(columns, X, range(d))
-        leaves[block] = (ok & columns["leaf"][:, :, None]).argmax(axis=1)
+    for block, columns in _mask_blocks(model, np.arange(len(leaves)), n, d):
+        leaves[block] = np.take_along_axis(columns["leaves"], (_fail_mask(columns, X, range(d)) == 0).argmax(axis=1), 1)
     out = np.full(n, model.f0)
     yield 0, out
     for m, sid in enumerate(structure.tolist()):

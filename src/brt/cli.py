@@ -148,11 +148,10 @@ def cmd_report(args) -> int:
     if args.top < 0:
         raise ValueError(f"--top must be at least 0, got {args.top}")
     model, data = _load_model_and_table(args)
-    out = _out_dir(args)
-
-    with naming(args.model, args.data):
+    with naming(args.model, args.data):  # a failed analysis writes nothing
         ranked = relative_influence(model).ranked()
         interactions = interaction_report(model, data, denominator=args.interaction_denominator)
+    out = _out_dir(args)
     _write_csv(out / "influence.csv", ["feature", "percent"], [[n, v] for n, v in ranked])
     svg.bar_chart(
         out / "influence.svg",

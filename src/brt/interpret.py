@@ -8,10 +8,13 @@ centered over their grid. It is computed by path factorisation (Friedman
 exactly when g passes l's path splits on S and the record passes the rest,
 so PD_S(g) = f0 + sum over structures and leaves l of T[l] * pass_l,S(g) *
 mean_r pass_l,not S(x_r), T being a structure's scaled leaf values summed
-in stage order. Passes come from ``boosting._pass_table``, the builder that
-prediction routes blocks of structures with, so NaN, +-inf and values on a
-threshold go where prediction sends them; this matches the brute-force loop
-to 1e-12 without a grid-by-records batch.
+in stage order. Passes are read from ``boosting._fail_mask``, the builder
+that prediction routes blocks of structures with: one integer per structure,
+leaf and row, with a bit per feature set where the row leaves the leaf's
+path at a split on that feature, so one mask over the records serves every
+choice of S and NaN, +-inf and values on a threshold go where prediction
+sends them. This matches the brute-force loop to 1e-12 without a
+grid-by-records batch.
 
 The pairwise interaction score asks how far the bivariate dependence is
 from the additive combination of the two univariate ones, evaluated at
@@ -35,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .args import MAX_GRID_POINTS
-from .boosting import BoostedModel, _blocks, _pass_table, _usable_rows, predict_batch
+from .boosting import BoostedModel, _fail_mask, _mask_blocks, _usable_rows, predict_batch
 from .tree import split_improvements
 
 
@@ -133,26 +136,27 @@ def _resolve_grid(X: np.ndarray, feature: int, size, name: str) -> np.ndarray:
     return np.linspace(float(col.min()), float(col.max()), size)
 
 
+def _shares(table: np.ndarray, reach: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each structure's row of its share of the mean prediction: leaf l adds T[l] times the
+    share of records that `reach` it at each point that passes its path (`grid`), in node order."""
+    weight = table * (reach.sum(axis=2, dtype=np.float64) / reach.shape[2])  # the counts are exact
+    sums = np.zeros((grid.shape[0], grid.shape[2]))
+    for i in range(grid.shape[1]):  # a sum from +0.0 is the same with the padding's +0.0 added
+        np.add(sums, weight[:, i, None], out=sums, where=grid[:, i])
+    return sums
+
+
 def _pd_rows(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray, ids: np.ndarray):
     """Yield, a block of the structure ids `ids` at a time, each structure's
     row of its share of the mean prediction over all rows of X with `features`
-    set to each row of `points` (path factorisation, see the module docstring).
+    set to each row of `points` (path factorisation, see the module docstring):
+    the records pass the other features' splits, the points those on `features`.
     Leaves are added in node order, so the block size changes no bit."""
-    rest = [f for f in range(X.shape[1]) if f not in features]
-    structures = model.structure_tables
-    n, width = X.shape[0], structures["feature"].shape[1]
-    # per structure: a bool pass table over width + 1 node positions, and two float rows
-    # (the split values gathered at a node position, and the sums)
-    for block in _blocks(ids, (width + 17) * max(n, len(points))):
-        columns = {k: v[block] for k, v in structures.items()}
-        reach = _pass_table(columns, X[:, rest], rest)
-        weight = columns["table"] * (reach.sum(axis=2, dtype=np.float64) / n)  # the counts are exact
-        grid = _pass_table(columns, points, features)
-        sums = np.zeros((len(block), len(points)))
-        # a sum that starts at +0.0 is the same without a failed leaf's +0.0 and with a non-leaf's
-        for i in range(width):
-            np.add(sums, weight[:, i, None], out=sums, where=grid[:, i])
-        yield sums
+    d = X.shape[1]
+    others = ((1 << d) - 1) ^ sum(1 << f for f in features)
+    for _, columns in _mask_blocks(model, ids, max(len(X), len(points)), d):
+        reach = (_fail_mask(columns, X, range(d)) & others) == 0
+        yield _shares(columns["table"], reach, _fail_mask(columns, points, features) == 0)
 
 
 def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
@@ -189,17 +193,17 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     return PDSurface((j, k), (model.feature_names[j], model.feature_names[k]), grid_j, grid_k, values)
 
 
-def _interaction_denominator(model: BoostedModel, X: np.ndarray, y: np.ndarray, which: str) -> float:
+def _interaction_denominator(model: BoostedModel, X: np.ndarray, y: np.ndarray, which: str, response: str) -> float:
     if which == "model":
         f = predict_batch(model, X)
-        ref = f - f.sum() / len(f)
+        ref, fault = f - f.sum() / len(f), "degenerate model: no output variation"
     elif which == "response":
-        ref = y - y.sum() / len(y)
+        ref, fault = y - y.sum() / len(y), f"degenerate response: no variation in {response}"
     else:
         raise ValueError("denominator must be 'model' or 'response'")
     den = float((ref * ref).sum())
     if den == 0.0:
-        raise ValueError("degenerate model: no output variation")
+        raise ValueError(fault)
     return den
 
 
@@ -209,31 +213,38 @@ def _interaction_scores(model: BoostedModel, data, denominator: str, pairs: list
     A tree that splits on neither feature shifts all three dependences by
     one constant, which centering removes; one that splits on only j adds
     the same vector to PDjk and PDj. So d is the sum, over the structures
-    that split on both, of B - Uj - Uk: the structure's rows of _pd_rows with
-    both (B) or one (U) feature set to each record's own values, added one
-    after another in order of first use. A pair that no structure splits on
-    is not computed.
+    that split on both, of B - Uj - Uk: the structure's share of the mean
+    prediction (as _pd_rows gives it) with both (B) or one (U) feature set
+    to each record's own values, added one after another in order of first
+    use. Records and points are then the same rows, so one fail mask over
+    the records per block of such structures gives every U and B. A pair
+    that no structure splits on is not computed.
     """
     X, y = _usable_rows(model, data)
-    den = _interaction_denominator(model, X, y, denominator)
+    den = _interaction_denominator(model, X, y, denominator, getattr(data, "response_name", "the response"))
     n, d = X.shape
     split = model.structure_tables["feature"]
     uses = np.zeros((len(split), d + 1), dtype=bool)  # the last column takes the leaves' -1
     uses[np.arange(len(split))[:, None], split] = True
-    shared = [np.flatnonzero(uses[:, j] & uses[:, k]) for j, k in pairs]
+    shared = [uses[:, j] & uses[:, k] for j, k in pairs]
     need = np.zeros((d, len(split)), dtype=bool)  # U[f] holds the structures sharing a pair with f
-    for (j, k), ids in zip(pairs, shared):
-        need[j, ids] = need[k, ids] = True
-    at = np.cumsum(need, axis=1) - 1  # structure s's row in U[f]
+    for (j, k), both in zip(pairs, shared):
+        need[[j, k]] |= both
+    every, delta = (1 << d) - 1, np.zeros((len(pairs), n))
+    # the U rows a block keeps, and each U's and B's temporaries, are not counted in its cells
+    for block, columns in _mask_blocks(model, np.flatnonzero(need.any(axis=0)), n, d):
+        fail = _fail_mask(columns, X, range(d))
 
-    def own(features, ids):  # the rows of structures `ids` with `features` set to each record's own values
-        return np.concatenate([*_pd_rows(model, X, features, X[:, list(features)], ids)])
+        def own(bits, at):  # the rows of structures `at` with `bits`' features set to the records' own values
+            return _shares(columns["table"][at], (fail[at] & (every ^ bits)) == 0, (fail[at] & bits) == 0)
 
-    U = {f: own((f,), np.flatnonzero(need[f])) for f in range(d) if need[f].any()}
-    delta = np.zeros((len(pairs), n))
-    for p, ((j, k), ids) in enumerate(zip(pairs, shared)):
-        if len(ids):
-            delta[p] = np.add.accumulate(own((j, k), ids) - U[j][at[j, ids]] - U[k][at[k, ids]])[-1]
+        U = {f: own(1 << f, need[f, block]) for f in range(d) if need[f, block].any()}
+        row = np.cumsum(need[:, block], axis=1) - 1  # a structure's row in U[f]
+        for p, (j, k) in enumerate(pairs):
+            at = shared[p][block]
+            if at.any():
+                rows = own(1 << j | 1 << k, at) - U[j][row[j, at]] - U[k][row[k, at]]
+                delta[p] = np.add.accumulate(np.concatenate([delta[p, None], rows]))[-1]
     centered = delta - delta.sum(axis=1, keepdims=True) / n
     return 100.0 * (centered * centered).sum(axis=1) / den
 

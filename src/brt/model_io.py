@@ -94,14 +94,14 @@ def _parse_json_line(line: str, lineno: int):
     return obj
 
 
-def _require(obj: dict, key: str, line):
-    if key not in obj:
+def _column(objs: list, key: str, line) -> list:
+    """Field `key` of every object in `objs`; an error naming `line` if one lacks it."""
+    if any(key not in obj for obj in objs):
         raise _error(line, f"missing field {key!r}")
-    return obj[key]
+    return [obj[key] for obj in objs]
 
 
-def _number(obj: dict, key: str, line) -> float:
-    v = _require(obj, key, line)
+def _number(v, key: str, line) -> float:
     if isinstance(v, (int, float)) and not isinstance(v, bool):
         with contextlib.suppress(OverflowError):  # an int too large for a float
             f = float(v)
@@ -118,14 +118,18 @@ def _warn_unknown(obj: dict, known: set, lineno: int) -> None:
 
 def _stage_columns(objs: list, lines, n_features: int) -> dict:
     """``gamma``, node ``count`` and each NODE_FIELDS entry of parsed stage lines,
-    unpadded, the node fields checked as flat arrays (a node's index in its stage
-    is its flat index less its stage root's); errors name ``lines``. Once a check
-    fails, load_model checks the lines one at a time, so that the error names the
-    first bad line and its first fault, as a line-by-line read does."""
-    gamma = np.array([_number(obj, "gamma", lines) for obj in objs], dtype=np.float64)
+    unpadded, each field checked as a whole list, the node fields as flat arrays
+    (a node's index in its stage is its flat index less its stage root's); errors
+    name ``lines``. Once a check fails, load_model checks the lines one at a time,
+    so that the error names the first bad line and its first fault, as a
+    line-by-line read does."""
+    gamma = _column(objs, "gamma", lines)
+    if not (set(map(type, gamma)) <= {float} and all(map(math.isfinite, gamma))):
+        gamma = [_number(v, "gamma", lines) for v in gamma]  # ints as floats, or an error at the first bad one
+    gamma = np.array(gamma, dtype=np.float64)
     flat, lengths = {}, []
     for k, (dtype, _) in NODE_FIELDS.items():
-        vals = [_require(obj, k, lines) for obj in objs]
+        vals = _column(objs, k, lines)
         allowed = _NODE_TYPES.get(k, _NUMBER_TYPES)
         items = list(chain.from_iterable(vals)) if set(map(type, vals)) <= {list} else [None]
         if not set(map(type, items)) <= allowed:
@@ -198,7 +202,7 @@ def _parse_model(lines) -> BoostedModel:
 
     header = _parse_json_line(second[1], 2)
     _warn_unknown(header, _HEADER_KEYS, 2)
-    cfg_obj = _require(header, "config", 2)
+    cfg_obj = _column([header], "config", 2)[0]
     if not isinstance(cfg_obj, dict):
         raise _error(2, "'config' must be an object")
     _warn_unknown(cfg_obj, _CONFIG_KEYS, 2)
@@ -215,14 +219,14 @@ def _parse_model(lines) -> BoostedModel:
         config = BoostConfig(**{k: v for k, v in cfg_obj.items() if k in _CONFIG_KEYS})
     except (TypeError, ValueError) as e:
         raise _error(2, f"bad config: {e}") from None
-    feature_names = _require(header, "feature_names", 2)
+    feature_names = _column([header], "feature_names", 2)[0]
     if not isinstance(feature_names, list) or not all(isinstance(s, str) for s in feature_names):
         raise _error(2, "'feature_names' must be a list of strings")
     duplicates = sorted({s for s in feature_names if feature_names.count(s) > 1})
     if duplicates:
         raise _error(2, f"duplicate feature name(s) {duplicates}")
-    f0 = _number(header, "f0", 2)
-    n_stages = _require(header, "n_stages", 2)
+    f0 = _number(_column([header], "f0", 2)[0], "f0", 2)
+    n_stages = _column([header], "n_stages", 2)[0]
     if type(n_stages) is not int or n_stages < 0:
         raise _error(2, f"field 'n_stages' must be a non-negative integer, got {n_stages!r}")
 
@@ -248,7 +252,7 @@ def _parse_model(lines) -> BoostedModel:
 
 def _stage_block(block: list, n_features: int) -> dict:
     """_stage_columns of the (line number, text) stage lines ``block``,
-    warning of unknown fields line by line."""
+    warning of unknown fields line by line, if a line has any."""
     try:
         objs = [_parse_json_line(ln, no) for no, ln in block]
         columns = _stage_columns(objs, f"{block[0][0]}-{block[-1][0]}", n_features)
@@ -256,6 +260,7 @@ def _stage_block(block: list, n_features: int) -> dict:
         for no, ln in block:  # name the first bad line, as a line-by-line read does
             _stage_columns([_parse_json_line(ln, no)], no, n_features)
         raise
-    for (no, _), obj in zip(block, objs):
-        _warn_unknown(obj, _STAGE_KEYS, no)
+    if max(map(len, objs)) > len(_STAGE_KEYS):  # each has every stage key, so a longer one has others
+        for (no, _), obj in zip(block, objs):
+            _warn_unknown(obj, _STAGE_KEYS, no)
     return columns

@@ -10,7 +10,7 @@ One rule, ``goes_right``, sends a value to a side of a split: a value above
 the threshold goes right, a value at or below it goes left, and a missing
 value goes to the side that ``missing_right`` names. ``route`` moves the rows
 at a node with it, for the fitter, once per expanded node, and for
-``leaf_assignments``; the analytics' pass tables test splits with it too.
+``leaf_assignments``; the fail masks of prediction and the analytics test splits with it too.
 
 Split search scans the cuts between consecutive distinct finite values of
 each feature; a cut's threshold is the midpoint of the two values, or the

@@ -604,14 +604,14 @@ class TestPackedPrediction:
     def test_routes_each_distinct_structure_once_per_call(self, standin_model, monkeypatch):
         model, data = standin_model
         calls = []  # per block routed: the ROUTING row of each structure in it, and the rows routed
-        build = boosting._pass_table
+        build = boosting._fail_mask
 
         def counted(columns, V, cols):
             rows = zip(*(columns[k] for k in ROUTING))
             calls.append(([b"".join(a.tobytes() for a in row) for row in rows], len(V)))
             return build(columns, V, cols)
 
-        monkeypatch.setattr(boosting, "_pass_table", counted)
+        monkeypatch.setattr(boosting, "_fail_mask", counted)
         for k in (model.n_stages, model.n_stages, 40, 1, 0):
             calls.clear()
             predict_batch(model, data.X, n_stages=k)

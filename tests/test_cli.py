@@ -187,6 +187,19 @@ class TestReport:
         assert len(overall) == 3
         assert "relative influence" in stdout
 
+    def test_constant_response_is_named_and_nothing_is_written(self, tmp_path, capsys, trained):
+        out, table = trained
+        ds = load_model_table(table)
+        const = tmp_path / "const.csv"
+        write_model_table(Dataset(ds.years, ds.feature_names, ds.X, np.full(len(ds.y), 5.0)), const)
+        report = tmp_path / "report"
+        argv = ["report", str(out / "model.brtm"), str(const), "--out", str(report)]
+        code, stdout, err = run([*argv, "--interaction-denominator", "response"], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {out / 'model.brtm'} with {const}: degenerate response: no variation in FCPI\n"
+        assert not report.exists()
+        assert run(argv, capsys)[0] == 0  # the model itself varies
+
     def test_negative_top_exits_1_naming_the_option(self, tmp_path, capsys, trained):
         out, table = trained
         code, _, err = run(["report", str(out / "model.brtm"), str(table), "--out", str(out), "--top", "-1"], capsys)

@@ -419,30 +419,28 @@ class TestInteractionsPerStructure:
         """(split features of each structure in the block, rows) of every block
         that prediction routes."""
         calls = []
-        original = boosting._pass_table
+        original = boosting._fail_mask
 
         def counting(columns, V, cols):
             calls.append(([split_features(row) for row in columns["feature"]], V.shape[0]))
             return original(columns, V, cols)
 
-        monkeypatch.setattr(boosting, "_pass_table", counting)
+        monkeypatch.setattr(boosting, "_fail_mask", counting)
         return calls
 
     @pytest.fixture()
     def pass_tables(self, monkeypatch):
-        """(split features of each structure in the block, features tested, table
-        shape) of every pass table the builder makes; the analytics make them in
-        pairs, the records' side (the features not set) and then the side of the
-        points (the features set)."""
+        """(split features of each structure in the block, columns, mask shape) of
+        every fail mask the analytics build; a structure's passes are read from it."""
         calls = []
-        original = interpret._pass_table
+        original = interpret._fail_mask
 
         def counting(columns, V, cols):
-            table = original(columns, V, cols)
-            calls.append(([split_features(row) for row in columns["feature"]], tuple(cols), table.shape))
-            return table
+            mask = original(columns, V, cols)
+            calls.append(([split_features(row) for row in columns["feature"]], tuple(cols), mask.shape))
+            return mask
 
-        monkeypatch.setattr(interpret, "_pass_table", counting)
+        monkeypatch.setattr(interpret, "_fail_mask", counting)
         return calls
 
     def test_report_makes_no_n_squared_routing(self, routed, pass_tables):
@@ -456,12 +454,13 @@ class TestInteractionsPerStructure:
         structures = [f for block, _ in routed for f in block]
         assert structures == [split_features(row) for row in model.structure_tables["feature"]]
         assert all(rows == n for _, rows in routed)
-        assert pass_tables and all(shape[2] == n for _, _, shape in pass_tables)  # records or their own values
+        # one mask over every feature per block, on the n records, which are also the points
+        assert pass_tables and all(cols == (0, 1, 2, 3) and shape[2] == n for _, cols, shape in pass_tables)
         routed.clear()
         interaction_report(model, ds, denominator="response")
         assert routed == []
 
-    def test_only_structures_splitting_on_two_features_build_pass_tables(self, pass_tables):
+    def test_only_structures_splitting_on_two_features_build_pass_tables(self, pass_tables, monkeypatch):
         stump = RegressionTree([-1], [0.0], [False], [-1], [-1], [0.3], [0.0], 3)
         trees = [
             (stump, 1.0),
@@ -479,10 +478,9 @@ class TestInteractionsPerStructure:
         for denominator in ("response", "model"):
             pass_tables.clear()
             rep = interaction_report(model, ds, denominator=denominator)
-            # the one structure that splits on two features, 5 node positions (the widest
-            # tree's) by n rows: U1, U2, then B of (1, 2), each the records' side first
-            sides = [(0, 2), (1,), (0, 1), (2,), (0,), (1, 2)]
-            assert pass_tables == [([(1, 2)], cols, (1, 5, n)) for cols in sides]
+            # the one structure that splits on two features, 3 leaf rows (the most leaves) by
+            # n records, every feature one bit: U1, U2 and B of (1, 2) all come from this mask
+            assert pass_tables == [([(1, 2)], (0, 1, 2), (1, 3, n))]
             assert rep.pairwise[(0, 1)] == rep.pairwise[(0, 2)] == 0.0
             assert rep.pairwise[(1, 2)] > 0.0
         # a fitted model, with structures splitting on one feature and on more than two
@@ -491,13 +489,18 @@ class TestInteractionsPerStructure:
         model = fit_ensemble(ds, cfg)
         everything = [split_features(row) for row in model.structure_tables["feature"]]
         assert any(len(f) < 2 for f in everything) and any(len(f) > 2 for f in everything)
+        sharing = [f for f in everything if len(f) >= 2]  # every pair is asked for
         pass_tables.clear()
-        interaction_report(model, ds, denominator="response")
-        assert all(len(f) >= 2 for block, _, _ in pass_tables for f in block)
-        for block, cols, _ in pass_tables[1::2]:  # the points' side: U of one feature, B of a pair
-            assert all(set(cols) <= set(f) for f in block), cols
-        B = [cols for _, cols, _ in pass_tables[1::2] if len(cols) == 2]
-        assert B == sorted(set(B)) == sorted({p for f in everything for p in itertools.combinations(f, 2)})
+        want = interaction_report(model, ds, denominator="response").pairwise
+        assert len(pass_tables) == 1 and pass_tables[0][0] == sharing  # one block, each structure once, in order
+        # a block per structure, or a few: the same scores, from one mask per block
+        for budget in (1, boosting.BLOCK_CELLS // 64):
+            pass_tables.clear()
+            monkeypatch.setattr(boosting, "BLOCK_CELLS", budget)
+            assert interaction_report(model, ds, denominator="response").pairwise == want
+            assert [f for block, _, _ in pass_tables for f in block] == sharing
+            assert all(cols == (0, 1, 2, 3, 4) and shape[2] == 14 for _, cols, shape in pass_tables)
+            assert len(pass_tables) == len(sharing) if budget == 1 else 1 < len(pass_tables) < len(sharing)
 
     def test_no_shared_pair_builds_no_pass_table(self, routed, pass_tables):
         trees = [(split_tree(f, 0.5, -1.0, 1.0 + f, 3), 1.0) for f in range(3)] + [(two_split_tree(2, 2, 3), 1.0)]
@@ -516,8 +519,10 @@ class TestInteractionsPerStructure:
         everything = [split_features(row) for row in model.structure_tables["feature"]]
         assert len(everything) >= 40
         want = partial_dependence_1d(model, 1, ds)
-        # one block: the records' side, then the grid side
-        assert [(block, cols) for block, cols, _ in pass_tables] == [(everything, (0, 2, 3)), (everything, (1,))]
+        # one block: the records' mask over every feature, then the grid's over the swept one
+        most = model.structure_tables["leaves"].shape[1]
+        shapes = [(len(everything), most, 30), (len(everything), most, len(want.grid))]
+        assert pass_tables == [(everything, (0, 1, 2, 3), shapes[0]), (everything, (1,), shapes[1])]
         for budget in (1, boosting.BLOCK_CELLS // 12):
             pass_tables.clear()
             monkeypatch.setattr(boosting, "BLOCK_CELLS", budget)
@@ -525,6 +530,7 @@ class TestInteractionsPerStructure:
             assert got.values.tobytes() == want.values.tobytes()
             sides = [[f for block, _, _ in pass_tables[side::2] for f in block] for side in (0, 1)]
             assert sides == [everything, everything]  # each side covers every structure once, in order
+            assert [shape[2] for _, _, shape in pass_tables] == [30, len(want.grid)] * (len(pass_tables) // 2)
             if budget == 1:  # a block per structure
                 assert len(pass_tables) == 2 * len(everything)
             else:
@@ -653,6 +659,59 @@ class TestFactorisedKernelProperty:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(boosting, "BLOCK_CELLS", budget)
                 assert everything() == want, budget
+
+
+class TestMasksPastOneWord:
+    """A fail mask has one bit per column: a 9-column table needs 16-bit masks
+    and a 70-column one Python ints. Profiles, surfaces, scores and prediction
+    must not notice."""
+
+    @pytest.mark.parametrize("d, dtype", [(9, np.uint16), (70, object)])
+    def test_wide_tables_match_the_oracles_and_the_stage_loop(self, d, dtype):
+        rng = np.random.default_rng(d)
+        n, high = 12, [8, d - 2, d - 4]  # past bit 8 and, at 70 columns, past bit 64
+        X = np.ones((n, d))  # a constant column offers no split
+        X[:, [0, *high]] = rng.uniform(-5.0, 5.0, size=(n, 4))
+        X[rng.integers(0, n, 4), rng.choice(high, 4)] = np.nan
+        y = np.nan_to_num(X[:, high[0]] + X[:, high[1]] * X[:, high[2]])
+        ds = Dataset.from_arrays(X, y)
+        cfg = BoostConfig(n_trees=12, learn_rate=0.3, max_nodes=7, min_leaf_obs=1, subsample_fraction=0.8, seed=5)
+        model = fit_ensemble(ds, cfg)
+        trees = stage_trees(model)
+        shared = {p for t, _ in trees for p in itertools.combinations(split_features(t.feature), 2)}
+        assert max(max(p) for p in shared) >= (64 if d > 64 else 8)  # a pair past the first word
+        assert boosting._fail_mask(model.structure_tables, X, range(d)).dtype == dtype
+
+        rows = [list(r) for r in X]
+        walk = [([a.tolist() for a in (t.feature, t.threshold, t.missing_right, t.left, t.right)],
+                 (model.config.learn_rate * gamma) * t.value) for t, gamma in trees]
+
+        def predict_fn(row):
+            acc = model.f0
+            for arrays, values in walk:
+                acc += values[naive_flat_leaf(*arrays, row)]
+            return acc
+
+        def close(got, want):
+            return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+        for f in (0, *high):
+            p = partial_dependence_1d(model, f, ds)
+            assert all(close(a, b) for a, b in zip(p.values, naive_pd_1d(predict_fn, rows, f, list(p.grid))))
+        s = partial_dependence_2d(model, high[1], high[0], ds, grid_spec=4)
+        want = naive_pd_2d(predict_fn, rows, high[1], high[0], list(s.grid_j), list(s.grid_k))
+        assert all(close(a, b) for got_row, want_row in zip(s.values, want) for a, b in zip(got_row, want_row))
+        unshared = next(p for p in itertools.combinations(range(d), 2) if p not in shared)
+        for denominator, ref in (("model", [predict_fn(r) for r in rows]), ("response", list(y))):
+            scores = interpret._interaction_scores(model, ds, denominator, [*sorted(shared), unshared])
+            for (j, k), score in zip(sorted(shared), scores.tolist()):
+                assert close(score, naive_interaction(predict_fn, rows, j, k, ref)), (j, k, denominator)
+            assert scores[-1] == 0.0
+        for m in range(model.n_stages + 1):
+            loop = np.full(n, model.f0)
+            for t, gamma in trees[:m]:
+                loop += (model.config.learn_rate * gamma) * t.predict_batch(X)
+            assert predict_batch(model, X, m).tobytes() == loop.tobytes(), m
 
 
 class TestLeafChildPlaceholders:
