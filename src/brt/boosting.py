@@ -25,7 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import SplitMix64, sample_without_replacement
+# sample_without_replacement, the scalar draw that sample_blocks reproduces, stays a
+# name of this module: perfbench's span table wraps it here.
+from .rng import SplitMix64, sample_blocks, sample_without_replacement  # noqa: F401
 from .tree import NODE_FIELDS, RegressionTree, TreeFitter, TreeLimits, goes_right
 
 # The node fields that decide which leaf a row reaches.
@@ -188,10 +190,10 @@ def line_search_gamma(residuals, tree_outputs) -> tuple[float, bool]:
     h = np.asarray(tree_outputs, dtype=np.float64)
     if r.shape != h.shape or r.ndim != 1 or r.size == 0:
         raise ValueError("residuals and tree_outputs must be equal-length nonempty vectors")
-    denom = float((h * h).sum())
+    denom = float(np.add.reduce(h * h))
     if denom == 0.0:
         return 1.0, True
-    return float((r * h).sum()) / denom, False
+    return float(np.add.reduce(r * h)) / denom, False
 
 
 def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
@@ -223,8 +225,7 @@ def fit_ensemble(data, config: BoostConfig) -> BoostedModel:
     count = np.empty(config.n_trees, dtype=np.intp)
     shape = (config.n_trees, limits.widest(n_sub))
     nodes = {k: np.full(shape, pad, dtype=dtype) for k, (dtype, pad) in NODE_FIELDS.items()}
-    for m in range(config.n_trees):
-        rows = np.asarray(sample_without_replacement(n, n_sub, rng), dtype=np.intp)
+    for m, rows in enumerate(sample_blocks(n, n_sub, rng, config.n_trees)):
         residual = y - current
         row = {k: column[m] for k, column in nodes.items()}
         count[m], leaf = fitter.fit(residual, rows, row)

@@ -23,17 +23,13 @@ from .data import (
     assemble_model_table, fy_label, load_model_table, load_raw_directory, monsoon_deviation, naming, write_csv,
     write_model_table
 )
-from .interpret import _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, relative_influence
+# partial_dependence_1d stays a name of this module: perfbench's span table wraps it here.
+from .interpret import (  # noqa: F401
+    _grid_size, interaction_report, partial_dependence_1d, partial_dependence_2d, partial_dependence_profiles,
+    relative_influence
+)
 from .metrics import fit_report, resolve_threshold
 from .model_io import load_model, save_model
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    write_csv(path, [header, *([_fmt(c) if isinstance(c, float) else str(c) for c in row] for row in rows)])
 
 
 def _config_from_args(args) -> BoostConfig:
@@ -111,17 +107,12 @@ def cmd_train(args) -> int:
         preds = predict_batch(model, data.X)
         report = fit_report(data.y, preds, roc_threshold=threshold)
         curve = staged_metric(model, data, metric="mse", stride=args.stride) if model.n_stages > 0 else None
-    _write_csv(
-        out / "metrics.csv",
-        ["metric", "value"],
-        [[name, value] for name, value in report.rows()] + [["n", report.n]],
-    )
+    write_csv(out / "metrics.csv", [["metric", "value"], *report.rows(), ["n", report.n]])
 
     years = np.asarray(data.years, dtype=np.float64)
-    _write_csv(
+    write_csv(
         out / "actual_vs_predicted.csv",
-        ["year", "actual", "predicted"],
-        [[y, float(a), float(p)] for y, a, p in zip(data.years, data.y, preds)],
+        [["year", "actual", "predicted"], *zip(data.years, data.y.tolist(), preds.tolist())],
     )
     svg.line_chart(
         out / "actual_vs_predicted.svg",
@@ -135,7 +126,7 @@ def cmd_train(args) -> int:
     if curve is not None:
         ks = np.asarray([k for k, _ in curve.points], dtype=np.float64)
         ms = np.asarray([v for _, v in curve.points])
-        _write_csv(out / "staged_mse.csv", ["n_trees", "mse"], [[int(k), float(v)] for k, v in curve.points])
+        write_csv(out / "staged_mse.csv", [["n_trees", "mse"], *curve.points])
         svg.line_chart(out / "staged_mse.svg", "Training MSE vs number of trees", ks, [("mse", ms)], "trees", "MSE")
 
     print(f"trained {model.n_stages} stages on {report.n} rows -> {out / 'model.brtm'}")
@@ -152,7 +143,7 @@ def cmd_report(args) -> int:
         ranked = relative_influence(model).ranked()
         interactions = interaction_report(model, data, denominator=args.interaction_denominator)
     out = _out_dir(args)
-    _write_csv(out / "influence.csv", ["feature", "percent"], [[n, v] for n, v in ranked])
+    write_csv(out / "influence.csv", [["feature", "percent"], *ranked])
     svg.bar_chart(
         out / "influence.svg",
         "Relative influence of predictors",
@@ -165,9 +156,9 @@ def cmd_report(args) -> int:
         [model.feature_names[a], model.feature_names[b], score]
         for (a, b), score in interactions.pairwise_ranked()
     ]
-    _write_csv(out / "interactions_pairwise.csv", ["feature_i", "feature_j", "score"], pair_rows)
+    write_csv(out / "interactions_pairwise.csv", [["feature_i", "feature_j", "score"], *pair_rows])
     overall_rows = [[model.feature_names[j], score] for j, score in interactions.overall_ranked()]
-    _write_csv(out / "interactions_overall.csv", ["feature", "score"], overall_rows)
+    write_csv(out / "interactions_overall.csv", [["feature", "score"], *overall_rows])
 
     print("relative influence (%):")
     for name, v in ranked:
@@ -219,11 +210,11 @@ def cmd_pdp(args) -> int:
             surface = partial_dependence_2d(model, j, k, data, grid_spec=args.grid)
         out = _out_dir(args)
         rows = [
-            [float(surface.grid_j[a]), float(surface.grid_k[b]), float(surface.values[a, b])]
-            for a in range(len(surface.grid_j))
-            for b in range(len(surface.grid_k))
+            [g, h, surface.values[a, b]]
+            for a, g in enumerate(surface.grid_j.tolist())
+            for b, h in enumerate(surface.grid_k.tolist())
         ]
-        _write_csv(out / f"{stem}.csv", [args.feature, args.feature2, "dependence"], rows)
+        write_csv(out / f"{stem}.csv", [[args.feature, args.feature2, "dependence"], *rows])
         svg.heatmap(
             out / f"{stem}.svg",
             f"Joint dependence: {args.feature} and {args.feature2}",
@@ -237,14 +228,10 @@ def cmd_pdp(args) -> int:
         return 0
 
     with naming(args.model, args.data):
-        profiles = [partial_dependence_1d(model, j, data, grid_spec=args.grid) for j in columns]
+        profiles = partial_dependence_profiles(model, columns, data, grid_spec=args.grid)
     out = _out_dir(args)
     for name, profile in zip(names, profiles):
-        _write_csv(
-            out / f"pd_{name}.csv",
-            [name, "dependence"],
-            [[float(g), float(v)] for g, v in zip(profile.grid, profile.values)],
-        )
+        write_csv(out / f"pd_{name}.csv", [[name, "dependence"], *zip(profile.grid.tolist(), profile.values.tolist())])
         svg.line_chart(
             out / f"pd_{name}.svg",
             f"Partial dependence: {name}",

@@ -313,18 +313,20 @@ def load_weights_csv(source) -> dict[str, float]:
     return out
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    return repr(float(v))
+def _cell(v) -> str:
+    """The text of a CSV cell: a float as its repr, NaN as an empty cell,
+    anything else as its str."""
+    if isinstance(v, float):
+        return "" if math.isnan(v) else repr(float(v))
+    return str(v)
 
 
 def write_csv(sink, rows) -> None:
-    """Write rows of text cells to a stream or a path (opened as UTF-8 text),
-    quoting a cell only where it holds a comma, a quote or a line end, with
-    "\\n" line ends."""
+    """Write rows of cells to a stream or a path (opened as UTF-8 text), each
+    as ``_cell`` gives it, quoting a cell only where it holds a comma, a quote
+    or a line end, with "\\n" line ends."""
     if hasattr(sink, "write"):
-        csv.writer(sink, lineterminator="\n").writerows(rows)
+        csv.writer(sink, lineterminator="\n").writerows(map(_cell, row) for row in rows)
     else:
         with open(sink, "w", encoding="utf-8", newline="") as stream:
             write_csv(stream, rows)
@@ -334,7 +336,7 @@ def write_model_table(dataset: Dataset, sink) -> None:
     """Write a Dataset back to model-table CSV (missing cells empty)."""
     header = ["year", dataset.response_name, *dataset.feature_names]
     rows = zip(dataset.years, dataset.y.tolist(), dataset.X.tolist())
-    write_csv(sink, [header, *([str(year), *map(_fmt, [y, *x])] for year, y, x in rows)])
+    write_csv(sink, [header, *([year, y, *x] for year, y, x in rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -146,37 +146,42 @@ def _shares(table: np.ndarray, reach: np.ndarray, grid: np.ndarray) -> np.ndarra
     return sums
 
 
-def _pd_rows(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray, ids: np.ndarray):
-    """Yield, a block of the structure ids `ids` at a time, each structure's
-    row of its share of the mean prediction over all rows of X with `features`
-    set to each row of `points` (path factorisation, see the module docstring):
-    the records pass the other features' splits, the points those on `features`.
-    Leaves are added in node order, so the block size changes no bit."""
+def _pd_means(model: BoostedModel, X: np.ndarray, sweeps) -> list[np.ndarray]:
+    """For each (features, points) of `sweeps`, the mean prediction over all
+    rows of X with `features` overridden by each row of `points`: f0 plus
+    every structure's share (path factorisation, see the module docstring),
+    added in order of first use. The records pass the other features' splits
+    and the points those on `features`, so one fail mask over the records per
+    block of structures serves every sweep. Leaves are added in node order, so
+    the block size changes no bit."""
     d = X.shape[1]
-    others = ((1 << d) - 1) ^ sum(1 << f for f in features)
-    for _, columns in _mask_blocks(model, ids, max(len(X), len(points)), d):
-        reach = (_fail_mask(columns, X, range(d)) & others) == 0
-        yield _shares(columns["table"], reach, _fail_mask(columns, points, features) == 0)
-
-
-def _pd_means(model: BoostedModel, X: np.ndarray, features: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-    """Mean prediction over all rows of X with `features` overridden by each
-    row of `points`: f0 plus every structure's row of _pd_rows, added in order
-    of first use."""
-    out = np.full(points.shape[0], model.f0)
-    for rows in _pd_rows(model, X, features, points, np.arange(len(model.structure_tables["feature"]))):
-        for row in rows:
-            out += row
-    return out
+    means = [np.full(len(points), model.f0) for _, points in sweeps]
+    ids = np.arange(len(model.structure_tables["feature"]))
+    for _, columns in _mask_blocks(model, ids, max([len(X), *(len(points) for _, points in sweeps)]), d):
+        records = _fail_mask(columns, X, range(d))
+        for (features, points), out in zip(sweeps, means):
+            reach = (records & (((1 << d) - 1) ^ sum(1 << f for f in features))) == 0
+            for row in _shares(columns["table"], reach, _fail_mask(columns, points, features) == 0):
+                out += row
+    return means
 
 
 def partial_dependence_1d(model: BoostedModel, feature: int, data, grid_spec=None) -> PDProfile:
     """Centered mean-response curve for one feature (brute-force contract)."""
+    return partial_dependence_profiles(model, [feature], data, grid_spec)[0]
+
+
+def partial_dependence_profiles(model: BoostedModel, features, data, grid_spec=None) -> list[PDProfile]:
+    """partial_dependence_1d of each of `features`, in one pass over the model."""
     X, _ = _usable_rows(model, data)
-    _check_features(model, feature)
-    grid = _resolve_grid(X, feature, _grid_size(grid_spec, 1), model.feature_names[feature])
-    raw = _pd_means(model, X, (feature,), grid[:, None])
-    return PDProfile(feature, model.feature_names[feature], grid, raw - raw.sum() / len(raw))
+    _check_features(model, *features)
+    size = _grid_size(grid_spec, 1)
+    grids = [_resolve_grid(X, f, size, model.feature_names[f]) for f in features]
+    raws = _pd_means(model, X, [((f,), grid[:, None]) for f, grid in zip(features, grids)])
+    return [
+        PDProfile(f, model.feature_names[f], grid, raw - raw.sum() / len(raw))
+        for f, grid, raw in zip(features, grids, raws)
+    ]
 
 
 def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=None) -> PDSurface:
@@ -188,7 +193,7 @@ def partial_dependence_2d(model: BoostedModel, j: int, k: int, data, grid_spec=N
     if size is None:  # observed values: the product is known only now
         _check_points(len(grid_j) * len(grid_k))
     points = np.column_stack([np.repeat(grid_j, len(grid_k)), np.tile(grid_k, len(grid_j))])
-    raw = _pd_means(model, X, (j, k), points).reshape(len(grid_j), len(grid_k))
+    raw = _pd_means(model, X, [((j, k), points)])[0].reshape(len(grid_j), len(grid_k))
     values = raw - raw.sum() / raw.size
     return PDSurface((j, k), (model.feature_names[j], model.feature_names[k]), grid_j, grid_k, values)
 
@@ -214,7 +219,7 @@ def _interaction_scores(model: BoostedModel, data, denominator: str, pairs: list
     one constant, which centering removes; one that splits on only j adds
     the same vector to PDjk and PDj. So d is the sum, over the structures
     that split on both, of B - Uj - Uk: the structure's share of the mean
-    prediction (as _pd_rows gives it) with both (B) or one (U) feature set
+    prediction (as _pd_means adds it) with both (B) or one (U) feature set
     to each record's own values, added one after another in order of first
     use. Records and points are then the same rows, so one fail mask over
     the records per block of such structures gives every U and B. A pair

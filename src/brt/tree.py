@@ -76,7 +76,7 @@ def goes_right(v: np.ndarray, threshold, missing_right) -> np.ndarray:
 def route(node: np.ndarray, i: int, x: np.ndarray, threshold: float, missing_right: bool, left: int, right: int) -> None:
     """Move the rows at node i (``node[r] == i``) to its left or right child
     by ``goes_right`` on their values in x, the split feature's column."""
-    at = np.flatnonzero(node == i)
+    at = (node == i).nonzero()[0]
     node[at] = np.where(goes_right(x[at], threshold, missing_right), right, left)
 
 
@@ -178,8 +178,12 @@ class TreeFitter:
     as the scores use them (``num`` is [rows left with missing rows left, rows
     left] and ``den`` [rows right, rows right with missing rows right]),
     ``miss``, the NaN positions (the last ones of each feature), and
-    ``window``, the cuts that leave min_leaf rows on both sides, for each
-    routing.
+    ``window``, for each routing, the cuts that leave min_leaf rows on both
+    sides and a finite value above them (NaNs sort last, so those are the
+    cuts with at least one finite row to their right). A cut is valid where
+    it lies in the window and its two sorted values differ, one ``!=`` per
+    search. Outside the window ``den`` holds 1 at least, so no score divides
+    by zero and a fit needs no ``np.errstate``.
 
     Its ``maxsize`` is ``SEARCH_CACHE_BYTES`` over the bytes of the largest
     entry this table can make, that of all its rows: its arrays and key plus
@@ -207,6 +211,8 @@ class TreeFitter:
         self.sorted_vals = np.take_along_axis(XT, self.orders, axis=1)
         cnt_left = np.arange(1, max(n, 1), dtype=np.float64)
         min_leaf = limits.min_leaf_obs
+        # Nodes with fewer rows than this are not searched; without features, none is.
+        self._min_search = max(2, 2 * min_leaf) if d else n + 1
 
         def counts(k: int, miss_bytes: bytes) -> tuple:
             n_miss, cnt = np.frombuffer(miss_bytes)[:, None], cnt_left[: k - 1]
@@ -217,7 +223,11 @@ class TreeFitter:
             num[1] = cnt
             np.subtract(n_fin, cnt, out=den[0])
             np.add(den[0], n_miss, out=den[1])
-            return n_miss, num, den, np.arange(k) >= n_fin, (num >= min_leaf) & (den >= min_leaf)
+            # A cut needs min_leaf rows on each side and a finite value above it;
+            # the rows right of a masked cut count 1 at least, for a division.
+            window = (num >= min_leaf) & (den >= min_leaf) & (den[0] >= 1)
+            np.maximum(den[0], 1.0, out=den[0])
+            return n_miss, num, den, np.arange(k) >= n_fin, window
 
         # The largest entry, that of all n rows: its key bytes, num, den, miss and window.
         cuts = d * max(n - 1, 0)
@@ -243,23 +253,21 @@ class TreeFitter:
 
         heap: list[tuple[float, int, dict, np.ndarray]] = []
         count = 1
-        # Cuts past a node's last finite value divide by zero; they are masked.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self._search(y, 0, rows, add_leaf(0, rows), heap)
-            while heap and count + 2 <= max_nodes:
-                _, i, split, node_rows = heapq.heappop(heap)
-                left, right = count, count + 1
-                for name, v in {**split, "left": left, "right": right}.items():
-                    out[name][i] = v
-                route(leaf, i, self.XT[split["feature"]], split["threshold"], split["missing_right"], left, right)
-                count += 2
-                # Only search the new leaves if one more expansion could still fit.
-                worth_searching = count + 2 <= max_nodes
-                for child in (left, right):
-                    child_rows = node_rows[leaf[node_rows] == child]
-                    total = add_leaf(child, child_rows)
-                    if worth_searching:
-                        self._search(y, child, child_rows, total, heap)
+        self._search(y, 0, rows, add_leaf(0, rows), heap)
+        while heap and count + 2 <= max_nodes:
+            _, i, split, node_rows = heapq.heappop(heap)
+            left, right = count, count + 1
+            for name, v in {**split, "left": left, "right": right}.items():
+                out[name][i] = v
+            route(leaf, i, self.XT[split["feature"]], split["threshold"], split["missing_right"], left, right)
+            count += 2
+            # Only search the new leaves if one more expansion could still fit.
+            worth_searching = count + 2 <= max_nodes
+            for child in (left, right):
+                child_rows = node_rows[leaf[node_rows] == child]
+                total = add_leaf(child, child_rows)
+                if worth_searching:
+                    self._search(y, child, child_rows, total, heap)
         return count, leaf
 
     def _search(self, y, nid, rows, total, heap) -> None:
@@ -271,7 +279,7 @@ class TreeFitter:
         removes error, push nothing.
         """
         k = rows.size
-        if self.XT.shape[0] == 0 or k < max(2, 2 * self.limits.min_leaf_obs):
+        if k < self._min_search:
             return
         in_node = np.zeros(self.XT.shape[1], dtype=bool)
         in_node[rows] = True
@@ -280,7 +288,7 @@ class TreeFitter:
         at = in_node[self.orders]
         sel = self.orders[at].reshape(-1, k)
         vals = self.sorted_vals[at].reshape(-1, k)
-        valid = np.isfinite(vals[:, 1:]) & (vals[:, 1:] != vals[:, :-1])
+        valid = vals[:, 1:] != vals[:, :-1]
         n_miss = np.add.reduce(np.isnan(vals), axis=1, dtype=np.float64)
         n_miss, num, den, miss, window = self._counts(k, n_miss.tobytes())
         t = y[sel]
@@ -298,8 +306,7 @@ class TreeFitter:
         np.add(rsum[0], s_miss, out=rsum[1])
         ok = valid & window
         score_l, score_r = np.where(ok, lsum * lsum / num + rsum * rsum / den, -np.inf)
-        prefer_left = score_l >= score_r
-        score = np.where(prefer_left, score_l, score_r)
+        score = np.maximum(score_l, score_r)
 
         flat = int(score.argmax())  # first max in row-major order = tie rule
         best = float(score.flat[flat])
@@ -325,7 +332,7 @@ class TreeFitter:
         if np.count_nonzero(close) > 1 or (n_miss[f] and abs(score_l[f, p] - score_r[f, p]) <= slack):
             f, p, missing_right = self._resolve_exact(y, sel, n_miss, close, score_l, score_r, slack, best)
         else:
-            missing_right = not prefer_left[f, p]
+            missing_right = not score_l[f, p] >= score_r[f, p]
 
         gain = float((score_r if missing_right else score_l)[f, p] - total * total / k)
         # The cut's threshold: the midpoint of the values on either side when it

@@ -1,5 +1,6 @@
 """What ``import brt`` and the command line's parser load, and the lazy ``brt`` namespace."""
 
+import ast
 import importlib
 import json
 import os
@@ -79,3 +80,19 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 def test_cli_main_is_the_parser_entry_point():
     assert cli.main is args.main
+
+
+def test_every_benchmark_span_target_is_a_callable_attribute():
+    """perfbench/spans.py wraps each (owner, attribute) of its TARGETS on the
+    owner's own namespace, and a span whose name went away reads as absent. The
+    file is parsed, not imported or changed."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    body = ast.parse(spans.read_text(encoding="utf-8")).body
+    (targets,) = [n.value for n in body if isinstance(n, ast.Assign) and [ast.unparse(t) for t in n.targets] == ["TARGETS"]]
+    assert len(targets.elts) >= 20
+    for entry in targets.elts:
+        owner_path, attr = (ast.literal_eval(e) for e in entry.elts[:2])
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        assert callable(vars(owner).get(attr)), f"{owner_path} {attr}"
