@@ -325,6 +325,14 @@ def _running_sums(model: BoostedModel, X: np.ndarray, n_stages: int):
         yield m + 1, out
 
 
+def _integer(value, name: str) -> int:
+    """value, a count argument, as an int; a ValueError naming it unless it is a
+    Python or numpy integer (a bool, a float or a str is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def predict(model: BoostedModel, sample, n_stages: int | None = None) -> float:
     """predict_batch on one feature row (cells may be NaN)."""
     return float(predict_batch(model, [sample], n_stages)[0])
@@ -336,12 +344,10 @@ def predict_batch(model: BoostedModel, X, n_stages: int | None = None) -> np.nda
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError("feature count mismatch")
-    k = model.n_stages if n_stages is None else n_stages
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"n_stages must be an integer, got {n_stages!r}")
+    k = model.n_stages if n_stages is None else _integer(n_stages, "n_stages")
     if not 0 <= k <= model.n_stages:
         raise ValueError(f"n_stages must be in [0, {model.n_stages}]")
-    return deque(_running_sums(model, X, int(k)), maxlen=1).pop()[1]
+    return deque(_running_sums(model, X, k), maxlen=1).pop()[1]
 
 
 def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | None = None) -> StagedCurve:
@@ -349,8 +355,7 @@ def staged_metric(model: BoostedModel, data, metric: str = "mse", stride: int | 
     included), accumulated in one pass over the stages."""
     if metric not in ("mse", "r2"):
         raise ValueError("metric must be 'mse' or 'r2'")
-    if stride is None:
-        stride = max(1, model.n_stages // 500)
+    stride = max(1, model.n_stages // 500) if stride is None else _integer(stride, "stride")
     if stride < 1:
         raise ValueError("stride must be >= 1")
 

@@ -128,13 +128,21 @@ def _ascii_number(kind, text: str):
 
 
 def _parse_cell(raw: str, row: int, col: str) -> float:
+    """The one cell rule of every table: an empty or NA cell is missing (NaN);
+    any other cell is a finite number, or a ValueError names its row and column.
+    Other spellings of NaN are not numbers, and inf or 1e400 is not finite."""
     text = raw.strip()
     if text == "" or text.upper() == "NA":
         return float("nan")
     try:
-        return _ascii_number(float, text)
+        value = _ascii_number(float, text)
     except ValueError:
-        raise ValueError(f"non-numeric cell at row {row}, column {col!r}: {raw!r}") from None
+        value = math.nan
+    if math.isnan(value):
+        raise ValueError(f"non-numeric cell at row {row}, column {col!r}: {raw!r}")
+    if math.isinf(value):
+        raise ValueError(f"row {row}, column {col!r}: values must be finite where present")
+    return value
 
 
 @contextlib.contextmanager
@@ -260,9 +268,9 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
     value}}``, years ascending, with empty and NA cells left out.
 
     When expected_columns is given, the header must match it exactly;
-    unknown columns are rejected by name. A malformed file, an infinite
-    cell among them, raises a ValueError, which ``naming`` prefixes with the
-    source, naming the row and column where there is one.
+    unknown columns are rejected by name. A malformed file raises a
+    ValueError, which ``naming`` prefixes with the source, naming the row and
+    column where there is one.
     """
 
     def check_columns(cols):
@@ -279,11 +287,7 @@ def load_series_csv(source, expected_columns: tuple[str, ...] | None = None) -> 
                 raise ValueError(f"row 1: missing columns: {absent}")
 
     with naming(source):
-        cols, years, cells, rows = _read_year_table(source, check_columns)
-        bad = np.argwhere(np.isinf(cells))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"row {rows[i]}, column {cols[j]!r}: values must be finite where present")
+        cols, years, cells, _ = _read_year_table(source, check_columns)
     return {c: {y: v for y, v in zip(years, cells[:, j].tolist()) if not math.isnan(v)} for j, c in enumerate(cols)}
 
 
@@ -305,7 +309,7 @@ def load_weights_csv(source) -> dict[str, float]:
             if item in out:
                 raise ValueError(f"row {i}, column 'item': duplicate item {item!r}")
             w = _parse_cell(row[1], i, "weight")
-            if not math.isfinite(w) or w < 0:
+            if not w >= 0:  # a missing or negative weight
                 raise ValueError(f"row {i}, column 'weight': weight for {item!r} must be a nonnegative number")
             out[item] = w
         if not out:

@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .args import MAX_GRID_POINTS
-from .boosting import BoostedModel, _fail_mask, _mask_blocks, _usable_rows, predict_batch
+from .boosting import BoostedModel, _fail_mask, _integer, _mask_blocks, _usable_rows, predict_batch
 from .tree import split_improvements
 
 
@@ -111,7 +111,7 @@ def _grid_size(grid_spec, dims: int):
     observed values; checked before any grid is made."""
     if grid_spec is None:
         return None
-    g = int(grid_spec)
+    g = _integer(grid_spec, "grid_spec")
     if g < 2:
         raise ValueError("grid size must be at least 2")
     _check_points(g**dims)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -492,6 +493,14 @@ class TestStagedMetric:
         model = fit_ensemble(ds, BoostConfig(n_trees=25, learn_rate=0.1, min_leaf_obs=1, subsample_fraction=1.0))
         curve = staged_metric(model, ds, metric="mse", stride=10)
         assert [k for k, _ in curve.points] == [10, 20, 25]
+        assert staged_metric(model, ds, stride=np.int64(10)) == staged_metric(model, ds, stride=10)
+
+    @pytest.mark.parametrize("stride", [2.5, 3.0, "3", True, np.float64(3.0)])
+    def test_stride_must_be_an_integer(self, stride):
+        ds = identity_toy()
+        model = fit_ensemble(ds, BoostConfig(n_trees=20, learn_rate=0.1, min_leaf_obs=1, subsample_fraction=1.0))
+        with pytest.raises(ValueError, match=f"^stride must be an integer, got {re.escape(repr(stride))}$"):
+            staged_metric(model, ds, stride=stride)
 
     def test_r2_curve_increases_to_one(self):
         ds = identity_toy()

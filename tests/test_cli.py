@@ -19,6 +19,7 @@ from brt.model_io import load_model
 from brt.standin import bundled_path
 
 from conftest import write_toy_raw
+from test_data import _mutate
 
 
 def run(argv, capsys):
@@ -532,6 +533,17 @@ MUTATION_TRAIN_FLAGS = ["--trees", "8", "--learn-rate", "0.3", "--min-leaf", "1"
 LINE_TEXT = st.text(st.sampled_from('0123456789.-+eE,"{}[]:naNAyr \t\xff\u00e9'), max_size=12)
 
 
+def _changed(raw: bytes, draw) -> bytes:
+    """raw with one line replaced by LINE_TEXT or one byte replaced."""
+    if draw(st.booleans()):
+        lines = raw.split(b"\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = draw(LINE_TEXT).encode()
+        return b"\n".join(lines)
+    i = draw(st.integers(0, len(raw) - 1))
+    return raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1 :]
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     """A small model table, a model trained on it, and a raw directory."""
@@ -555,15 +567,7 @@ def test_mutated_input_exits_0_or_1_naming_an_input(valid_inputs, data):
     draw = data.draw
     names = ["model.brtm", "table.csv", *(f"raw/{p.name}" for p in sorted((valid_inputs / "raw").iterdir()))]
     target = draw(st.sampled_from(names))
-    raw = (valid_inputs / target).read_bytes()
-    if draw(st.booleans()):
-        lines = raw.split(b"\n")
-        i = draw(st.integers(0, len(lines) - 1))
-        lines[i] = draw(LINE_TEXT).encode()
-        mutated = b"\n".join(lines)
-    else:
-        i = draw(st.integers(0, len(raw) - 1))
-        mutated = raw[:i] + bytes([draw(st.integers(0, 255))]) + raw[i + 1 :]
+    mutated = _changed((valid_inputs / target).read_bytes(), draw)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name in names:
@@ -583,6 +587,38 @@ def test_mutated_input_exits_0_or_1_naming_an_input(valid_inputs, data):
             inputs = [a for a in argv[1:] if a.startswith(tmp)]
             assert code in (0, 1), argv
             assert code == 0 or any(p in err.getvalue() for p in inputs), (argv, err.getvalue())
+
+
+FIXTURE_MODEL = Path(__file__).parent / "fixtures" / "flagship20_nan.brtm"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_fixture_model_or_standin_table_exits_0_or_1_with_one_error_line(data):
+    """The brtm/1 fixture or the stand-in table with one line or byte changed,
+    or the table with test_data's cell, header or line mutations: report,
+    pdp --all and (for the table) train return 0, or 1 with one "error: " line
+    on stderr, and raise nothing."""
+    draw = data.draw
+    inputs = {"model.brtm": FIXTURE_MODEL.read_bytes(), "table.csv": Path(bundled_path()).read_bytes()}
+    target = draw(st.sampled_from(sorted(inputs)))
+    if target == "table.csv" and draw(st.booleans()):
+        inputs[target] = _mutate(inputs[target].decode("utf-8"), data)[0].encode("utf-8")
+    else:
+        inputs[target] = _changed(inputs[target], draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in inputs.items():
+            (Path(tmp) / name).write_bytes(content)
+        model, table, out = (str(Path(tmp) / p) for p in ("model.brtm", "table.csv", "out"))
+        runs = [["report", model, table], ["pdp", model, table, "--all"]]
+        if target == "table.csv":
+            runs.append(["train", table, "--trees", "5"])
+        for argv in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", out])
+            assert code in (0, 1), argv
+            assert sum(line.startswith("error: ") for line in err.getvalue().splitlines()) == code, (argv, err.getvalue())
 
 
 @pytest.mark.parametrize(

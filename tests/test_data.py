@@ -93,7 +93,7 @@ class TestLoadModelTable:
         "csv, where",
         [
             ("year,FCPI,MSP\n2003,1.0,2.0\n2002,,2.5\n", "row 3, column 'FCPI': response missing at FY02"),
-            ("year,FCPI,MSP\n2002,1.0,2.0\n2003,1.5,-inf\n", "row 3, column 'MSP': predictor values must be finite"),
+            ("year,FCPI,MSP\n2002,1.0,2.0\n2003,1.5,-inf\n", "row 3, column 'MSP': values must be finite where present$"),
             ("year,FCPI,MSP\n2005,1.0,2.0\n2002,1.5,2.5\n", "row 2, column 'year': .*saw 2002 then 2005"),
         ],
     )
@@ -539,4 +539,34 @@ def test_mutated_weights_load_or_name_file_row_and_column(csv_dir, data):
 def test_digit_group_underscores_and_non_ascii_digits_refused(load, template, column, cell):
     """float() and int() read these as numbers; a cell of the tables must be ASCII without '_'."""
     with pytest.raises(ValueError, match=f"^<stream>: non-numeric cell at row 3, column '{column}': '{cell}'$"):
+        load(io.StringIO(template.format(cell)))
+
+
+# Each table's one numeric cell, row 3, in each loader; the response too.
+_ONE_CELL = pytest.mark.parametrize(
+    "load, template, column",
+    [
+        (load_model_table, "year,FCPI,MSP\n2001,1.0,2.0\n2002,1.5,{}\n", "MSP"),
+        (load_model_table, "year,FCPI,MSP\n2001,1.0,2.0\n2002,{},2.5\n", "FCPI"),
+        (load_series_csv, "year,rice\n2001,1\n2002,{}\n", "rice"),
+        (load_weights_csv, "item,weight\na,1\nb,{}\n", "weight"),
+    ],
+    ids=["model-table", "response", "series", "weights"],
+)
+
+
+@_ONE_CELL
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-nan", "+NAN"])
+def test_nan_spellings_other_than_empty_and_na_are_not_numbers(load, template, column, cell):
+    """Only an empty or NA cell is missing; float() reads these as NaN, but they are not numbers."""
+    message = f"^<stream>: non-numeric cell at row 3, column '{column}': {re.escape(repr(cell))}$"
+    with pytest.raises(ValueError, match=message):
+        load(io.StringIO(template.format(cell)))
+
+
+@_ONE_CELL
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e400"])
+def test_non_finite_numbers_are_refused_at_their_cell(load, template, column, cell):
+    """An infinite response is refused as such, not as a missing one."""
+    with pytest.raises(ValueError, match=f"^<stream>: row 3, column '{column}': values must be finite where present$"):
         load(io.StringIO(template.format(cell)))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -217,6 +218,13 @@ class TestPartialDependence:
         assert len(p.grid) == 7
         with pytest.raises(ValueError):
             partial_dependence_1d(model, 0, ds, grid_spec=1)
+        assert len(partial_dependence_1d(model, 0, ds, grid_spec=np.int32(7)).grid) == 7
+        for spec in (2.7, 7.0, "5", True, np.float64(7.0)):
+            message = f"^grid_spec must be an integer, got {re.escape(repr(spec))}$"
+            with pytest.raises(ValueError, match=message):
+                partial_dependence_1d(model, 0, ds, grid_spec=spec)
+            with pytest.raises(ValueError, match=message):
+                partial_dependence_2d(model, 0, 1, ds, grid_spec=spec)
 
     def test_fully_missing_feature_rejected(self):
         X = np.array([[np.nan, 1.0], [np.nan, 2.0], [np.nan, 3.0], [np.nan, 4.0]])
